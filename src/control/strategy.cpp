@@ -14,15 +14,19 @@ ControlStrategy ControlStrategy::compile(const Deposet& base, const ControlRelat
 
   int32_t token = 0;
   for (const CausalEdge& e : control) {
-    std::ostringstream ctx;
-    ctx << "control edge " << e;
+    // Formatted only when a check fails.
+    const auto ctx = [&e] {
+      std::ostringstream os;
+      os << "control edge " << e;
+      return os.str();
+    };
     PREDCTRL_CHECK(base.contains(e.from) && base.contains(e.to),
-                   ctx.str() + ": endpoint outside the computation");
-    PREDCTRL_CHECK(e.from.process != e.to.process, ctx.str() + ": endpoints on one process");
+                   ctx() + ": endpoint outside the computation");
+    PREDCTRL_CHECK(e.from.process != e.to.process, ctx() + ": endpoints on one process");
     PREDCTRL_CHECK(!base.is_top(e.from),
-                   ctx.str() + ": source is a final state; its exit never happens");
+                   ctx() + ": source is a final state; its exit never happens");
     PREDCTRL_CHECK(e.to.index > 0,
-                   ctx.str() + ": target is an initial state; its entry cannot wait");
+                   ctx() + ": target is an initial state; its entry cannot wait");
 
     s.actions_[static_cast<size_t>(e.from.process)].push_back(
         {ControlAction::Kind::kSendOnExit, e.from.index, token, e.to.process});

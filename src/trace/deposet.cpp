@@ -29,17 +29,21 @@ void DeposetBuilder::add_message(StateId from, StateId to) {
 
 void DeposetBuilder::validate_edge_shape() const {
   for (const MessageEdge& m : messages_) {
-    std::ostringstream ctx;
-    ctx << "edge " << m;
+    // Formatted only when a check fails.
+    const auto ctx = [&m] {
+      std::ostringstream os;
+      os << "edge " << m;
+      return os.str();
+    };
     PREDCTRL_CHECK(m.from.process >= 0 && m.from.process < num_processes() &&
                        m.to.process >= 0 && m.to.process < num_processes(),
-                   ctx.str() + ": process out of range");
+                   ctx() + ": process out of range");
     PREDCTRL_CHECK(m.from.process != m.to.process,
-                   ctx.str() + ": a dependency edge must cross processes");
+                   ctx() + ": a dependency edge must cross processes");
     PREDCTRL_CHECK(m.from.index >= 0 && m.from.index < length(m.from.process),
-                   ctx.str() + ": source state out of range");
+                   ctx() + ": source state out of range");
     PREDCTRL_CHECK(m.to.index >= 0 && m.to.index < length(m.to.process),
-                   ctx.str() + ": target state out of range");
+                   ctx() + ": target state out of range");
   }
 }
 
@@ -54,38 +58,42 @@ void DeposetBuilder::validate_messages() const {
     roles[p].assign(static_cast<size_t>(std::max(0, lengths_[p] - 1)), Role::kNone);
 
   for (const MessageEdge& m : messages_) {
-    std::ostringstream ctx;
-    ctx << "message " << m;
+    // Formatted only when a check fails.
+    const auto ctx = [&m] {
+      std::ostringstream os;
+      os << "message " << m;
+      return os.str();
+    };
     PREDCTRL_CHECK(m.from.process >= 0 && m.from.process < num_processes() &&
                        m.to.process >= 0 && m.to.process < num_processes(),
-                   ctx.str() + ": process out of range");
+                   ctx() + ": process out of range");
     PREDCTRL_CHECK(m.from.process != m.to.process,
-                   ctx.str() + ": a process cannot message itself");
+                   ctx() + ": a process cannot message itself");
     PREDCTRL_CHECK(m.from.index >= 0 && m.from.index < length(m.from.process),
-                   ctx.str() + ": send state out of range");
+                   ctx() + ": send state out of range");
     PREDCTRL_CHECK(m.to.index >= 0 && m.to.index < length(m.to.process),
-                   ctx.str() + ": receive state out of range");
+                   ctx() + ": receive state out of range");
     // D2: the send event is the event *after* m.from, so m.from may not be
     // the final state.
     PREDCTRL_CHECK(m.from.index < length(m.from.process) - 1,
-                   ctx.str() + ": D2 violated (message sent after the final state)");
+                   ctx() + ": D2 violated (message sent after the final state)");
     // D1: the receive event is the event *before* m.to, so m.to may not be
     // the initial state.
     PREDCTRL_CHECK(m.to.index >= 1,
-                   ctx.str() + ": D1 violated (message received before the initial state)");
+                   ctx() + ": D1 violated (message received before the initial state)");
 
     Role& send_role = roles[static_cast<size_t>(m.from.process)][static_cast<size_t>(m.from.index)];
     PREDCTRL_CHECK(send_role != Role::kRecv,
-                   ctx.str() + ": D3 violated (event both sends and receives)");
+                   ctx() + ": D3 violated (event both sends and receives)");
     PREDCTRL_CHECK(send_role != Role::kSend,
-                   ctx.str() + ": event sends two messages");
+                   ctx() + ": event sends two messages");
     send_role = Role::kSend;
 
     Role& recv_role = roles[static_cast<size_t>(m.to.process)][static_cast<size_t>(m.to.index - 1)];
     PREDCTRL_CHECK(recv_role != Role::kSend,
-                   ctx.str() + ": D3 violated (event both sends and receives)");
+                   ctx() + ": D3 violated (event both sends and receives)");
     PREDCTRL_CHECK(recv_role != Role::kRecv,
-                   ctx.str() + ": event receives two messages");
+                   ctx() + ": event receives two messages");
     recv_role = Role::kRecv;
   }
 }

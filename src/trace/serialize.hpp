@@ -11,6 +11,12 @@
 //   row <len> <0/1> ... <0/1>                                  (one per process)
 //   end
 //
+// Every integer is a whole base-10 token (an optional `-`, then digits,
+// nothing after them), and the per-process fields -- lengths and message
+// endpoints -- must lie within int32. Anything else is rejected with
+// std::invalid_argument. A `#` at the start of a token comments out the
+// rest of its line. A reader stops right after its `end` token.
+//
 // Intended for saving interesting traces from the simulator and replaying
 // them through the offline tooling (and for human inspection in bug
 // reports).

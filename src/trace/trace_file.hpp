@@ -104,9 +104,15 @@ enum class SectionId : uint32_t {
 };
 
 /// CRC-32C (Castagnoli, reflected polynomial 0x82F63B78), the checksum of
-/// every CRC field in the format. Software table implementation; chain
-/// calls by passing the previous result as `seed`.
+/// every CRC field in the format. Uses the SSE4.2 `crc32` instruction when
+/// the CPU has it (picked once, at first call) and crc32c_portable
+/// otherwise; both return the same value. Chain calls by passing the
+/// previous result as `seed`.
 uint32_t crc32c(const void* data, size_t size, uint32_t seed = 0);
+
+/// The byte-at-a-time table implementation of crc32c: the fallback on CPUs
+/// without the instruction, and the reference the tests compare against.
+uint32_t crc32c_portable(const void* data, size_t size, uint32_t seed = 0);
 
 /// Decoded fixed header. encode/decode are the only header (de)serializers
 /// -- both sides go through the same explicit little-endian codec, which

@@ -2,8 +2,23 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace predctrl {
 namespace {
+
+// The context a PREDCTRL_CHECK failure carries: what() after " -- ".
+template <typename Fn>
+std::string check_context(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    const size_t at = what.find(" -- ");
+    return at == std::string::npos ? what : what.substr(at + 4);
+  }
+  return "(no exception)";
+}
 
 // The paper's running shape: two processes exchanging one message each way.
 Deposet ping_pong() {
@@ -116,6 +131,23 @@ TEST(Deposet, RejectsCausalCycle) {
   b.add_message({0, 1}, {1, 1});
   b.add_message({1, 1}, {0, 1});
   EXPECT_THROW(b.build(), std::invalid_argument);
+}
+
+TEST(Deposet, CheckFailuresNameTheOffendingEdge) {
+  DeposetBuilder d1(2);
+  d1.set_length(0, 3);
+  d1.set_length(1, 3);
+  d1.add_message({0, 0}, {1, 0});
+  EXPECT_EQ(check_context([&] { d1.build(); }),
+            "message P0:0~>P1:0: D1 violated (message received before the initial state)");
+
+  DeposetBuilder same(2);
+  same.set_length(0, 4);
+  same.set_length(1, 4);
+  same.add_message({0, 0}, {1, 1});
+  same.add_message({0, 0}, {0, 2});
+  EXPECT_EQ(check_context([&] { same.build_extended(); }),
+            "edge P0:0~>P0:2: a dependency edge must cross processes");
 }
 
 TEST(Deposet, SingleProcessTrivia) {

@@ -46,6 +46,28 @@ TEST(Serialize, ParsesCommentsAndWhitespace) {
   EXPECT_TRUE(d.precedes({0, 0}, {1, 1}));
 }
 
+TEST(Serialize, LeavesTheStreamJustPastEnd) {
+  // A deposet and a predicate table back to back in one stream: each
+  // reader stops right after its `end`, so the next one starts there.
+  std::istringstream is(
+      "deposet 2\nlengths 2 2\nmsg 0 0 1 1 # one message\nend\n"
+      "predicate 2\nrow 2 1 0\nrow 2 1 1\nend\ntail");
+  Deposet d = read_deposet(is);
+  EXPECT_EQ(d.messages().size(), 1u);
+  EXPECT_EQ(is.peek(), '\n');
+  PredicateTable t = read_predicate_table(is);
+  EXPECT_EQ(t, (PredicateTable{{true, false}, {true, true}}));
+  std::string rest;
+  is >> rest;
+  EXPECT_EQ(rest, "tail");
+
+  // An `end` that closes the input sets eofbit, as `is >> token` does.
+  std::istringstream last("predicate 1\nrow 1 1\nend");
+  read_predicate_table(last);
+  EXPECT_TRUE(last.eof());
+  EXPECT_FALSE(last.fail());
+}
+
 TEST(Serialize, RejectsGarbage) {
   EXPECT_THROW(deposet_from_string("depo 2"), std::invalid_argument);
   EXPECT_THROW(deposet_from_string("deposet x"), std::invalid_argument);
@@ -54,6 +76,15 @@ TEST(Serialize, RejectsGarbage) {
   // Structurally parsed but semantically invalid (D1).
   EXPECT_THROW(deposet_from_string("deposet 2\nlengths 3 3\nmsg 0 0 1 0\nend"),
                std::invalid_argument);
+  // Integers are whole base-10 tokens, and per-process fields fit int32:
+  // no truncation to 3, no trailing junk.
+  EXPECT_THROW(deposet_from_string("deposet 2\nlengths 4294967299 3\nend"),
+               std::invalid_argument);
+  EXPECT_THROW(deposet_from_string("deposet 2\nlengths 3x 3\nend"), std::invalid_argument);
+  EXPECT_THROW(deposet_from_string("deposet 2\nlengths 3 3\nmsg 0 1 1 2junk\nend"),
+               std::invalid_argument);
+  std::istringstream row("predicate 1\nrow 2 1 0x\nend");
+  EXPECT_THROW(read_predicate_table(row), std::invalid_argument);
 }
 
 TEST(Dot, ContainsProcessesMessagesAndShading) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "control/offline_disjunctive.hpp"
 #include "trace/random_trace.hpp"
 
@@ -51,6 +53,20 @@ TEST(ControlStrategy, RejectsUnenforceableEdges) {
   EXPECT_THROW(ControlStrategy::compile(d, {{{0, 0}, {0, 2}}}), std::invalid_argument);
   // Out of range.
   EXPECT_THROW(ControlStrategy::compile(d, {{{0, 9}, {1, 1}}}), std::invalid_argument);
+}
+
+TEST(ControlStrategy, RejectionNamesTheControlEdge) {
+  Deposet d = grid(2, 3);
+  try {
+    ControlStrategy::compile(d, {{{0, 1}, {1, 2}}, {{0, 2}, {1, 1}}});
+    ADD_FAILURE() << "a control edge leaving a final state compiled";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    const size_t at = what.find(" -- ");
+    ASSERT_NE(at, std::string::npos) << what;
+    EXPECT_EQ(what.substr(at + 4),
+              "control edge P0:2~>P1:1: source is a final state; its exit never happens");
+  }
 }
 
 TEST(ControlStrategy, DetectsDeadlockingPlans) {

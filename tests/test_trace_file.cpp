@@ -71,6 +71,30 @@ TEST(TraceCodec, Crc32cKnownAnswer) {
   EXPECT_EQ(tracefile::crc32c("6789", 4, part), 0xE3069283u);
 }
 
+TEST(TraceCodec, Crc32cMatchesPortableReference) {
+  // crc32c may take the hardware path; it must agree with the table loop
+  // at every length across the 8-byte step, at every alignment, and when
+  // chained from a previous result.
+  std::vector<uint8_t> buf(256 + 8);
+  Rng rng(7);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.uniform(0, 255));
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 256; ++len) {
+      const uint8_t* p = buf.data() + offset;
+      ASSERT_EQ(tracefile::crc32c(p, len), tracefile::crc32c_portable(p, len))
+          << "offset " << offset << " length " << len;
+      const uint32_t seed = tracefile::crc32c_portable(buf.data(), offset + len % 5);
+      ASSERT_EQ(tracefile::crc32c(p, len, seed), tracefile::crc32c_portable(p, len, seed))
+          << "offset " << offset << " length " << len << " seed " << seed;
+      const size_t split = len / 3;
+      EXPECT_EQ(tracefile::crc32c(p + split, len - split, tracefile::crc32c(p, split)),
+                tracefile::crc32c_portable(p, len))
+          << "offset " << offset << " length " << len << " split " << split;
+    }
+  }
+  EXPECT_EQ(tracefile::crc32c_portable("123456789", 9), 0xE3069283u);
+}
+
 TEST(TraceCodec, HeaderRoundTripsAndPinsOffsets) {
   tracefile::TraceHeader h;
   h.section_count = 7;
@@ -132,7 +156,10 @@ void expect_identical_analyses(const Deposet& built, const MappedTrace& mapped,
   const auto msgs_a = built.messages();
   const auto msgs_b = re.messages();
   ASSERT_EQ(msgs_a.size(), msgs_b.size());
-  EXPECT_EQ(std::memcmp(msgs_a.data(), msgs_b.data(), msgs_a.size_bytes()), 0);
+  // A message-free trace has null spans, which memcmp may not be handed.
+  if (!msgs_a.empty()) {
+    EXPECT_EQ(std::memcmp(msgs_a.data(), msgs_b.data(), msgs_a.size_bytes()), 0);
+  }
   for (ProcessId p = 0; p < built.num_processes(); ++p) {
     const auto out_a = built.messages_from(p), out_b = re.messages_from(p);
     const auto in_a = built.messages_to(p), in_b = re.messages_to(p);
