@@ -63,6 +63,7 @@ int main() {
   // The recovered replay is a known computation: control it so that "at
   // least one worker is free" can never break again.
   PredicateTable freedom = run.predicate_table(
+      system,
       [](ProcessId, const sim::VarMap& vars) { return vars.at("free") != 0; });
   auto control = control_disjunctive_offline(run.deposet, freedom);
   std::printf("safety controller for the replay: %s (%zu control message(s))\n",

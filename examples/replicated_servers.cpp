@@ -47,7 +47,8 @@ int main() {
             << " (control messages paid: " << c2.run.stats.control_messages << ")\n";
 
   std::cout << "\n== Step 4: detect bug2 (f can run before e) ==\n";
-  PredicateTable witness = c1.run.predicate_table(scenario.bug2_witness);
+  PredicateTable witness =
+      c1.run.predicate_table(scenario.system, scenario.bug2_witness);
   auto bug2 = detect_weak_conjunctive(c1.run.deposet, witness);
   std::cout << "possible: " << (bug2.detected ? "yes" : "no");
   if (bug2.detected) std::cout << " (witness global state " << bug2.first_cut << ")";
@@ -62,7 +63,8 @@ int main() {
     std::cout << "  control message: exit(" << e.from << ") -> enter(" << e.to << ")\n";
 
   auto c4 = ControlledDeposet::create(c1_again.run.deposet, order_control.details.control);
-  PredicateTable avail_table = c1_again.run.predicate_table(scenario.availability);
+  PredicateTable avail_table =
+      c1_again.run.predicate_table(scenario.system, scenario.availability);
   bool bug1_gone = satisfies_everywhere(
       *c4, [&](const Cut& c) { return eval_disjunctive(avail_table, c); });
   std::cout << "ordering e before f ALSO eliminates bug1: " << (bug1_gone ? "yes" : "no")
@@ -74,7 +76,7 @@ int main() {
     // B_order on computations nobody traced: each fresh schedule holds the
     // cache flush (f) back until the re-index (e) reports done.
     PredicateTable truth = online::enforce_online_assumptions(
-        scenario.system, c1.run.predicate_table(scenario.e_before_f));
+        scenario.system, c1.run.predicate_table(scenario.system, scenario.e_before_f));
     int violated = 0;
     for (uint64_t seed = 100; seed < 110; ++seed) {
       sim::SimOptions opt;

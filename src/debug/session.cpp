@@ -82,7 +82,8 @@ ControlFailure classify_control_failure(const GuardedObservation& g, int32_t n,
   // The frontier of the partial trace: the last state each process entered.
   f.blocked_cut = Cut(n);
   for (ProcessId p = 0; p < n; ++p)
-    f.blocked_cut[p] = static_cast<int32_t>(run.vars[static_cast<size_t>(p)].size()) - 1;
+    f.blocked_cut[p] =
+        static_cast<int32_t>(run.entry_times[static_cast<size_t>(p)].size()) - 1;
 
   f.scapegoat_chain.reserve(g.telemetry.chain.size());
   for (const auto& [at, controller] : g.telemetry.chain)
@@ -183,16 +184,8 @@ GuardedObservation Session::observe_guarded(uint64_t seed,
   // Static truth table: a script's variables at state (p, k) are
   // initial_vars overlaid with updates[0..k-1], independent of scheduling,
   // so l_p over every reachable state is known before any run.
-  PredicateTable truth(system_.size());
-  for (size_t p = 0; p < system_.size(); ++p) {
-    sim::VarMap vars = system_[p].initial_vars;
-    truth[p].push_back(predicate_(static_cast<ProcessId>(p), vars));
-    for (const sim::Instr& instr : system_[p].instrs) {
-      for (const auto& [k, v] : instr.updates) vars[k] = v;
-      truth[p].push_back(predicate_(static_cast<ProcessId>(p), vars));
-    }
-  }
-  truth = online::enforce_online_assumptions(system_, truth);
+  PredicateTable script_truth = sim::script_predicate_table(system_, predicate_);
+  const PredicateTable truth = online::enforce_online_assumptions(system_, script_truth);
 
   sim::SimOptions opt = options_;
   opt.seed = seed;
@@ -214,7 +207,12 @@ GuardedObservation Session::observe_guarded(uint64_t seed,
 #endif
   g.obs.run = online::run_scripts_guarded(system_, truth, opt, strategy, faults,
                                           &g.telemetry);
-  g.obs.predicate = g.obs.run.predicate_table(predicate_);
+  // The run traced a prefix of each script, so its table is the script
+  // table cut to the traced lengths -- the same walk, not a second one.
+  g.obs.predicate = std::move(script_truth);
+  for (ProcessId p = 0; p < n; ++p)
+    g.obs.predicate[static_cast<size_t>(p)].resize(
+        static_cast<size_t>(g.obs.run.deposet.length(p)));
   g.degraded = g.telemetry.control_released();
 
   // Liveness watchdog: a stalled or degraded run gets a structured verdict,
@@ -254,7 +252,7 @@ Observation Session::observe_impl(uint64_t seed, const ControlStrategy* strategy
   opt.seed = seed;
   Observation obs;
   obs.run = sim::run_scripts(system_, opt, strategy);
-  obs.predicate = obs.run.predicate_table(predicate_);
+  obs.predicate = obs.run.predicate_table(system_, predicate_);
   span.add_arg("seed", static_cast<int64_t>(seed));
   span.add_arg("vt_us", obs.run.stats.end_time);
   span.add_arg("events", obs.run.stats.events_processed);

@@ -43,7 +43,7 @@ namespace predctrl::debug {
 
 /// A disjunctive safety predicate over traced variables: local(p, vars) is
 /// l_p evaluated on a state's variable values.
-using LocalPredicate = std::function<bool(ProcessId, const sim::VarMap&)>;
+using LocalPredicate = sim::LocalPredicateFn;
 
 /// Everything learned from one observation of the system.
 struct Observation {

@@ -1,8 +1,7 @@
 #include "runtime/scripted.hpp"
 
 #include <algorithm>
-#include <deque>
-#include <set>
+#include <span>
 
 #include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
@@ -20,10 +19,8 @@ constexpr int32_t kCtlToken = 2;  // a: token id
 // Shared recording sink for all processes of one run.
 struct Recorder {
   explicit Recorder(int32_t n)
-      : vars(static_cast<size_t>(n)), entry_times(static_cast<size_t>(n)),
-        clocks(n), builder(n) {}
+      : entry_times(static_cast<size_t>(n)), clocks(n), builder(n) {}
 
-  std::vector<std::vector<VarMap>> vars;
   std::vector<std::vector<SimTime>> entry_times;
   /// One append_row per state entry; each process holds a stable view of
   /// its newest row, so tracking costs no per-state allocation.
@@ -39,7 +36,21 @@ class ScriptedProcess : public Agent {
                   const std::vector<bool>* detect_condition, AgentId detector)
       : p_(p), n_(num_processes), script_(script), recorder_(recorder),
         strategy_(strategy), truth_(truth), guard_(guard),
-        detect_condition_(detect_condition), detector_(detector) {
+        detect_condition_(detect_condition), detector_(detector),
+        inbox_(static_cast<size_t>(num_processes)),
+        next_recv_seq_(static_cast<size_t>(num_processes), 0),
+        next_send_seq_(static_cast<size_t>(num_processes), 0) {
+    // One inbox slot per receive the script will perform, by channel seq.
+    std::vector<size_t> receives(static_cast<size_t>(num_processes), 0);
+    for (const Instr& instr : script_.instrs) {
+      if (instr.kind == Instr::Kind::kLocal) continue;
+      PREDCTRL_CHECK(instr.peer >= 0 && instr.peer < num_processes,
+                     "send/receive peer outside the system");
+      if (instr.kind == Instr::Kind::kRecv) ++receives[static_cast<size_t>(instr.peer)];
+    }
+    for (size_t q = 0; q < receives.size(); ++q) inbox_[q].resize(receives[q]);
+    if (strategy_ != nullptr)
+      tokens_.assign(static_cast<size_t>(strategy_->num_tokens()), false);
     if (truth_ != nullptr)
       PREDCTRL_CHECK(truth_->size() == script_.instrs.size() + 1,
                      "gating truth row does not match script length");
@@ -49,9 +60,7 @@ class ScriptedProcess : public Agent {
   }
 
   void on_start(AgentContext& ctx) override {
-    recorder_.vars[static_cast<size_t>(p_)].push_back(script_.initial_vars);
     recorder_.entry_times[static_cast<size_t>(p_)].push_back(0);
-    cur_vars_ = script_.initial_vars;
     clock_ = recorder_.clocks.append_row(p_);  // initial state: own comp = 0
     maybe_send_candidate(ctx, 0);
     try_start(ctx);
@@ -82,9 +91,19 @@ class ScriptedProcess : public Agent {
                         msg.from, msg.type, msg.b, "inconsistent piggyback row; discarded");
         return;
       }
-      inbox_[msg.from].emplace(msg.b, msg);
+      // Keep the first copy of each expected message. A duplicate, or a seq
+      // this process has consumed or will never receive, can never match.
+      const ProcessId from = process_of(msg.from);
+      if (from >= 0 && from < n_) {
+        auto& slots = inbox_[static_cast<size_t>(from)];
+        if (msg.b >= next_recv_seq_[static_cast<size_t>(from)] &&
+            msg.b < static_cast<int64_t>(slots.size()) &&
+            !slots[static_cast<size_t>(msg.b)].has_value())
+          slots[static_cast<size_t>(msg.b)] = msg;
+      }
     } else if (msg.type == kCtlToken) {
-      tokens_.insert(msg.a);
+      if (msg.a >= 0 && msg.a < static_cast<int64_t>(tokens_.size()))
+        tokens_[static_cast<size_t>(msg.a)] = true;
     } else if (msg.type == kGateGrant) {
       PREDCTRL_REQUIRE(grant_requested_, "unsolicited gate grant");
       grant_received_ = true;
@@ -140,23 +159,25 @@ class ScriptedProcess : public Agent {
     }
 
     // Control waits anchored at the state this event will enter.
-    for (const ControlAction& a : pending_waits(pc_ + 1)) {
-      if (!tokens_.contains(a.token)) {
-        ctx.mark_waiting("control token for entering state " + std::to_string(pc_ + 1));
+    for (const ControlAction& a : actions_at(pc_ + 1)) {
+      if (a.kind == ControlAction::Kind::kWaitBeforeEntry &&
+          !tokens_[static_cast<size_t>(a.token)]) {
+        ctx.mark_waiting("control token for entering state ", pc_ + 1);
         return;
       }
     }
 
     if (cur().kind == Instr::Kind::kRecv && !staged_recv_.has_value()) {
-      auto& q = inbox_[agent_of(cur().peer)];
-      auto it = q.find(next_recv_seq_[cur().peer]);
-      if (it == q.end()) {
-        ctx.mark_waiting("message from P" + std::to_string(cur().peer));
+      const auto peer = static_cast<size_t>(cur().peer);
+      std::optional<Message>& slot =
+          inbox_[peer][static_cast<size_t>(next_recv_seq_[peer])];
+      if (!slot.has_value()) {
+        ctx.mark_waiting("message from P", cur().peer);
         return;
       }
-      staged_recv_ = it->second;
-      q.erase(it);
-      ++next_recv_seq_[cur().peer];
+      staged_recv_ = std::move(slot);
+      slot.reset();
+      ++next_recv_seq_[peer];
     }
 
     // On-line gating: a true -> false transition of the local predicate
@@ -175,7 +196,7 @@ class ScriptedProcess : public Agent {
         want.plane = Message::Plane::kLocal;
         ctx.send(guard_, want);
       }
-      ctx.mark_waiting("gate grant for entering state " + std::to_string(pc_ + 1));
+      ctx.mark_waiting("gate grant for entering state ", pc_ + 1);
       return;
     }
 
@@ -192,12 +213,12 @@ class ScriptedProcess : public Agent {
       Message m;
       m.type = kAppMsg;
       m.a = leaving;  // the paper's ~> relates the state before the send...
-      m.b = next_send_seq_[instr.peer]++;
+      m.b = next_send_seq_[static_cast<size_t>(instr.peer)]++;
       m.plane = Message::Plane::kApplication;
       // Piggyback the pre-send state's clock (the ~> source) -- the one
       // copy off the slab, at the sim boundary.
       m.clock.assign(clock_.data(), clock_.data() + n_);
-      ctx.send(agent_of(instr.peer), m);
+      ctx.send(agent_of(instr.peer), std::move(m));
     } else if (instr.kind == Instr::Kind::kRecv) {
       // ...to the state after the receive.
       recorder_.builder.add_message(
@@ -218,23 +239,19 @@ class ScriptedProcess : public Agent {
         p_, std::span<const ClockRow>(received,
                                       instr.kind == Instr::Kind::kRecv ? 1 : 0));
     if (instr.kind == Instr::Kind::kRecv) staged_recv_.reset();
-    for (const auto& [k, v] : instr.updates) cur_vars_[k] = v;
-    recorder_.vars[static_cast<size_t>(p_)].push_back(cur_vars_);
     recorder_.entry_times[static_cast<size_t>(p_)].push_back(ctx.now());
     PREDCTRL_FLIGHT(ctx.flight(), "proc.state", kPhase, ctx.self(), ctx.now(), -1,
                     leaving + 1);
     maybe_send_candidate(ctx, leaving + 1);
 
     // Control sends anchored at the exited state.
-    if (strategy_ != nullptr) {
-      for (const ControlAction& a : strategy_->actions(p_)) {
-        if (a.kind != ControlAction::Kind::kSendOnExit || a.state != leaving) continue;
-        Message m;
-        m.type = kCtlToken;
-        m.a = a.token;
-        m.plane = Message::Plane::kControl;
-        ctx.send(agent_of(a.peer), m);
-      }
+    for (const ControlAction& a : actions_at(leaving)) {
+      if (a.kind != ControlAction::Kind::kSendOnExit) continue;
+      Message m;
+      m.type = kCtlToken;
+      m.a = a.token;
+      m.plane = Message::Plane::kControl;
+      ctx.send(agent_of(a.peer), m);
     }
 
     // On-line gating bookkeeping: report false -> true transitions; reset
@@ -266,16 +283,16 @@ class ScriptedProcess : public Agent {
     m.b = next_candidate_seq_++;
     m.plane = Message::Plane::kControl;
     m.clock.assign(clock_.data(), clock_.data() + n_);
-    ctx.send(detector_, m);
+    ctx.send(detector_, std::move(m));
   }
 
-  std::vector<ControlAction> pending_waits(int32_t state) const {
-    std::vector<ControlAction> waits;
-    if (strategy_ == nullptr) return waits;
-    for (const ControlAction& a : strategy_->actions(p_))
-      if (a.kind == ControlAction::Kind::kWaitBeforeEntry && a.state == state)
-        waits.push_back(a);
-    return waits;
+  // The strategy's actions anchored at `state`, in compile() order: the
+  // list is sorted by state, so a binary search finds the run.
+  std::span<const ControlAction> actions_at(int32_t state) const {
+    if (strategy_ == nullptr) return {};
+    const auto run = std::ranges::equal_range(strategy_->actions(p_), state,
+                                              std::ranges::less{}, &ControlAction::state);
+    return {run.begin(), run.end()};
   }
 
   // Agents are registered in process order, so ids coincide with processes.
@@ -290,12 +307,8 @@ class ScriptedProcess : public Agent {
 
   Phase phase_ = Phase::kIdle;
   int32_t pc_ = 0;
-  VarMap cur_vars_;
-  std::map<AgentId, std::map<int64_t, Message>> inbox_;  // per sender, by seq
-  std::map<ProcessId, int64_t> next_recv_seq_;
-  std::map<ProcessId, int64_t> next_send_seq_;
   std::optional<Message> staged_recv_;
-  std::set<int64_t> tokens_;
+  std::vector<bool> tokens_;  // by token id: arrived yet?
 
   // On-line gating state.
   const std::vector<bool>* truth_;
@@ -307,6 +320,12 @@ class ScriptedProcess : public Agent {
   const std::vector<bool>* detect_condition_;
   AgentId detector_;
   int64_t next_candidate_seq_ = 0;
+
+  // Application channels, indexed by peer process: inbox_[q][seq] holds
+  // q's message number `seq` from its arrival until its receive is staged.
+  std::vector<std::vector<std::optional<Message>>> inbox_;
+  std::vector<int64_t> next_recv_seq_;
+  std::vector<int64_t> next_send_seq_;
 
   // On-line causality tracking (state-based; own component = state index):
   // a stable view of this process's newest row in the shared appendable
@@ -343,16 +362,45 @@ std::vector<Cut> RunResult::cut_timeline() const {
   return timeline;
 }
 
-PredicateTable RunResult::predicate_table(
-    const std::function<bool(ProcessId, const VarMap&)>& local) const {
-  PredicateTable table(vars.size());
-  for (ProcessId p = 0; p < static_cast<ProcessId>(vars.size()); ++p) {
-    const auto& states = vars[static_cast<size_t>(p)];
-    table[static_cast<size_t>(p)].resize(states.size());
-    for (size_t k = 0; k < states.size(); ++k)
-      table[static_cast<size_t>(p)][k] = local(p, states[k]);
+namespace {
+
+// Row p: `local` over the states of script p -- all of them, or the
+// traced->length(p) a run entered -- with one overlay map per process
+// carrying the variables from state to state.
+PredicateTable walk_scripts(const ScriptedSystem& system, const LocalPredicateFn& local,
+                            const Deposet* traced) {
+  PredicateTable table(system.size());
+  for (size_t p = 0; p < system.size(); ++p) {
+    const Script& script = system[p];
+    const auto pid = static_cast<ProcessId>(p);
+    const size_t states = traced != nullptr ? static_cast<size_t>(traced->length(pid))
+                                            : script.instrs.size() + 1;
+    PREDCTRL_CHECK(states >= 1 && states <= script.instrs.size() + 1,
+                   "traced length does not fit the script");
+    std::vector<bool>& row = table[p];
+    row.reserve(states);
+    VarMap vars = script.initial_vars;
+    row.push_back(local(pid, vars));
+    for (size_t k = 1; k < states; ++k) {
+      for (const auto& [name, value] : script.instrs[k - 1].updates) vars[name] = value;
+      row.push_back(local(pid, vars));
+    }
   }
   return table;
+}
+
+}  // namespace
+
+PredicateTable script_predicate_table(const ScriptedSystem& system,
+                                      const LocalPredicateFn& local) {
+  return walk_scripts(system, local, nullptr);
+}
+
+PredicateTable RunResult::predicate_table(const ScriptedSystem& system,
+                                          const LocalPredicateFn& local) const {
+  PREDCTRL_CHECK(static_cast<int32_t>(system.size()) == deposet.num_processes(),
+                 "system does not match the run");
+  return walk_scripts(system, local, &deposet);
 }
 
 RunResult run_scripts(const ScriptedSystem& system, const SimOptions& options,
@@ -421,11 +469,10 @@ RunResult run_scripts(const ScriptedSystem& system, const SimOptions& options,
 
   for (ProcessId p = 0; p < n; ++p)
     recorder.builder.set_length(
-        p, static_cast<int32_t>(recorder.vars[static_cast<size_t>(p)].size()));
+        p, static_cast<int32_t>(recorder.entry_times[static_cast<size_t>(p)].size()));
   // The deposet adopts the online-built clocks (compacted once, at this
   // boundary) instead of recomputing them from the message edges.
   result.deposet = recorder.builder.build_with_clocks(recorder.clocks.to_matrix());
-  result.vars = std::move(recorder.vars);
   result.entry_times = std::move(recorder.entry_times);
   result.clocks = std::move(recorder.clocks);
   return result;

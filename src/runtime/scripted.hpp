@@ -6,8 +6,8 @@
 // message receive) and entering one new local state with updated variables.
 // Running a ScriptedSystem:
 //
-//   * records the resulting computation as a deposet plus per-state variable
-//     values (the Tracer half of the observe/replay cycle), and
+//   * records the resulting computation as a deposet plus state entry times
+//     (the Tracer half of the observe/replay cycle), and
 //   * optionally enforces a compiled ControlStrategy (the Replayer half):
 //     before entering a state with a wait obligation the process blocks
 //     until the matching control token -- sent when the source state was
@@ -17,7 +17,11 @@
 // produced by a run is a function of the scripts alone; delivery delays
 // only change *when* cuts happen, never the causal structure. That gives
 // the round-trip property tests their teeth: deposet -> scripts -> run ->
-// traced deposet is the identity.
+// traced deposet is the identity. The same holds for variables: state
+// (p, k) carries the script's initial_vars overlaid with the updates of its
+// first k instructions, whatever the schedule, so runs record no variable
+// values at all -- predicate tables are read from the scripts for the
+// traced prefix (RunResult::predicate_table).
 #pragma once
 
 #include <cstdint>
@@ -113,13 +117,20 @@ struct Script {
 
 using ScriptedSystem = std::vector<Script>;
 
+/// A local predicate over one state's variables: l_p(vars).
+using LocalPredicateFn = std::function<bool(ProcessId, const VarMap&)>;
+
+/// Evaluates `local` on every state of every script -- the truth table of a
+/// variable-defined disjunctive predicate over any complete run of `system`
+/// (a state's variables do not depend on the schedule).
+PredicateTable script_predicate_table(const ScriptedSystem& system,
+                                      const LocalPredicateFn& local);
+
 /// Everything observed from one run.
 struct RunResult {
   /// The traced computation (application messages only; control causality is
   /// in the strategy, not re-traced).
   Deposet deposet;
-  /// vars[p][k] = variable values of state (p, k).
-  std::vector<std::vector<VarMap>> vars;
   /// clocks[p][k] = the clock row process p computed ON-LINE when it
   /// entered state k (one append_row per state; piggybacked on application
   /// messages). This very matrix is adopted as the deposet's causal
@@ -142,10 +153,14 @@ struct RunResult {
   /// (state entries ordered by time; simultaneous entries advance together).
   std::vector<Cut> cut_timeline() const;
 
-  /// Evaluates `local` on every state's variables: the truth table of a
-  /// variable-defined disjunctive predicate over the traced computation.
-  PredicateTable predicate_table(
-      const std::function<bool(ProcessId, const VarMap&)>& local) const;
+  /// Evaluates `local` on every traced state's variables: the truth table
+  /// of a variable-defined disjunctive predicate over the traced
+  /// computation. `system` must be the system that produced this run; each
+  /// process's variables are read from its script for the
+  /// deposet.length(p) states it entered (a wedged or crashed run traces a
+  /// prefix).
+  PredicateTable predicate_table(const ScriptedSystem& system,
+                                 const LocalPredicateFn& local) const;
 };
 
 /// Runs the system to quiescence. With a strategy, control tokens enforce

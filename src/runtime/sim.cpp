@@ -49,15 +49,22 @@ void AgentContext::set_timer(SimTime delay, int64_t timer_id) {
   engine_.timer_from(self_, delay, timer_id);
 }
 
-void AgentContext::mark_waiting(const std::string& why) {
-  engine_.waiting_[static_cast<size_t>(self_)] = why;
+void AgentContext::mark_waiting(const char* why, int64_t arg) {
+  PREDCTRL_CHECK(why != nullptr, "null waiting reason");
+  engine_.waiting_[static_cast<size_t>(self_)] = {why, arg};
 }
 
-void AgentContext::mark_done() { engine_.waiting_[static_cast<size_t>(self_)].clear(); }
+void AgentContext::mark_done() { engine_.waiting_[static_cast<size_t>(self_)] = {}; }
 
 Rng& AgentContext::rng() { return engine_.rng_; }
 
 obs::FlightRecorder* AgentContext::flight() const { return engine_.flight_; }
+
+std::string SimEngine::WaitReason::render() const {
+  std::string text(why);
+  if (arg >= 0) text += std::to_string(arg);
+  return text;
+}
 
 SimEngine::SimEngine(const SimOptions& options)
     : options_(options), rng_(options.seed), flight_(options.flight_recorder) {
@@ -83,21 +90,44 @@ void SimEngine::schedule_crash(AgentId id, SimTime at) {
   PREDCTRL_CHECK(at > 0,
                  "crash at time <= 0 would precede on_start -- agents must start "
                  "before they can crash");
-  queue_.push({PendingEvent::Kind::kCrash, at, next_seq_++, id, 0, 0, now_, {}, {}});
-  note_queue_depth();
+  push_event(PendingEvent::Kind::kCrash, at, id, 0, 0);
 }
 
 void SimEngine::schedule_restart(AgentId id, SimTime at) {
   PREDCTRL_CHECK(id >= 0 && id < num_agents(), "restart of unknown agent");
   PREDCTRL_CHECK(at > 0, "restart must happen at a positive virtual time");
-  queue_.push({PendingEvent::Kind::kRestart, at, next_seq_++, id, 0, 0, now_, {}, {}});
-  note_queue_depth();
+  push_event(PendingEvent::Kind::kRestart, at, id, 0, 0);
+}
+
+SimEngine::PendingEvent& SimEngine::push_event(PendingEvent::Kind kind, SimTime time,
+                                               AgentId target, int64_t timer_id,
+                                               int64_t epoch) {
+  uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  queue_.push_back({time, next_seq_++, slot});
+  std::push_heap(queue_.begin(), queue_.end(), later);
+  const auto depth = static_cast<int64_t>(queue_.size());
+  if (depth > stats_.max_queue_depth) stats_.max_queue_depth = depth;
+  PendingEvent& ev = slots_[slot];
+  ev.kind = kind;
+  ev.target = target;
+  ev.timer_id = timer_id;
+  ev.epoch = epoch;
+  ev.sent_at = now_;
+  return ev;
 }
 
 void SimEngine::enqueue_delivery(AgentId to, SimTime at, Message msg,
                                  const std::vector<int32_t>* flight_clock) {
-  PendingEvent ev{PendingEvent::Kind::kMessage, at,   next_seq_++,   to, 0,
-                  crash_epoch_[static_cast<size_t>(to)], now_, std::move(msg), {}};
+  PendingEvent& ev = push_event(PendingEvent::Kind::kMessage, at, to, 0,
+                                crash_epoch_[static_cast<size_t>(to)]);
+  ev.msg = std::move(msg);
   if (flight_clock != nullptr) {
     // Reuse a retired snapshot buffer when one is available; assign() then
     // copies into its existing capacity.
@@ -107,8 +137,6 @@ void SimEngine::enqueue_delivery(AgentId to, SimTime at, Message msg,
     }
     ev.flight_clock.assign(flight_clock->begin(), flight_clock->end());
   }
-  queue_.push(std::move(ev));
-  note_queue_depth();
 }
 
 void SimEngine::send_from(AgentId from, AgentId to, Message msg) {
@@ -212,10 +240,9 @@ void SimEngine::send_from(AgentId from, AgentId to, Message msg) {
 
 void SimEngine::timer_from(AgentId from, SimTime delay, int64_t timer_id) {
   PREDCTRL_CHECK(delay >= 0, "negative timer delay");
-  queue_.push({PendingEvent::Kind::kTimer, now_ + delay, next_seq_++, from, timer_id,
-               crash_epoch_[static_cast<size_t>(from)], now_, {}, {}});
-  pending_timers_[static_cast<size_t>(from)].insert(timer_id);
-  note_queue_depth();
+  push_event(PendingEvent::Kind::kTimer, now_ + delay, from, timer_id,
+             crash_epoch_[static_cast<size_t>(from)]);
+  pending_timers_[static_cast<size_t>(from)].push_back(timer_id);
 }
 
 SimStats SimEngine::run() {
@@ -263,16 +290,18 @@ SimStats SimEngine::run() {
   }
 
   while (!queue_.empty()) {
-    // Move, don't copy: the heap comparator only reads (time, seq), which a
-    // move leaves intact, and this spares a per-delivery copy of the message
-    // payload and flight-clock snapshot.
-    PendingEvent ev = std::move(const_cast<PendingEvent&>(queue_.top()));
-    queue_.pop();
-    if (options_.time_limit > 0 && ev.time > options_.time_limit) {
+    std::pop_heap(queue_.begin(), queue_.end(), later);
+    const EventKey key = queue_.back();
+    queue_.pop_back();
+    // The payload moves out (its vectors change hands, nothing is copied)
+    // and the slot is free again before the callback can enqueue more.
+    PendingEvent ev = std::move(slots_[key.slot]);
+    free_slots_.push_back(key.slot);
+    if (options_.time_limit > 0 && key.time > options_.time_limit) {
       hit_time_limit_ = true;
       break;
     }
-    now_ = ev.time;
+    now_ = key.time;
     ++stats_.events_processed;
     const size_t target = static_cast<size_t>(ev.target);
 
@@ -280,7 +309,7 @@ SimStats SimEngine::run() {
       PREDCTRL_REQUIRE(!crashed_[target], "double crash of one agent");
       crashed_[target] = true;
       ++crash_epoch_[target];
-      waiting_[target].clear();  // dead, not blocked
+      waiting_[target] = {};  // dead, not blocked
       ++stats_.crashes;
       PREDCTRL_OBS_COUNT("fault.crashes", 1);
       PREDCTRL_OBS_INSTANT("fault.crash", "fault",
@@ -313,8 +342,11 @@ SimStats SimEngine::run() {
     if (is_timer) {
       // Popped = no longer pending, whether it fires or was invalidated.
       auto& pending = pending_timers_[target];
-      auto it = pending.find(ev.timer_id);
-      if (it != pending.end()) pending.erase(it);
+      auto it = std::find(pending.begin(), pending.end(), ev.timer_id);
+      if (it != pending.end()) {
+        *it = pending.back();
+        pending.pop_back();
+      }
     }
     // A crash discards every delivery enqueued before it (epoch mismatch),
     // and a currently-crashed agent receives nothing.
@@ -352,14 +384,14 @@ SimStats SimEngine::run() {
       hooks.queue_depth->record(static_cast<int64_t>(queue_.size()) + 1);
       hooks.agent_events[target]->increment();
       if (!is_timer) {
-        hooks.latency[static_cast<size_t>(ev.msg.plane)]->record(ev.time - ev.sent_at);
+        hooks.latency[static_cast<size_t>(ev.msg.plane)]->record(key.time - ev.sent_at);
         obs::default_recorder().instant(
             "sim.deliver", "sim",
             {{"from", obs::TraceRecorder::arg(static_cast<int64_t>(ev.msg.from))},
              {"to", obs::TraceRecorder::arg(static_cast<int64_t>(ev.msg.to))},
              {"type", obs::TraceRecorder::arg(static_cast<int64_t>(ev.msg.type))},
              {"plane", obs::TraceRecorder::arg(static_cast<int64_t>(ev.msg.plane))},
-             {"vt_us", obs::TraceRecorder::arg(ev.time)}});
+             {"vt_us", obs::TraceRecorder::arg(key.time)}});
       }
     }
 #endif
@@ -368,9 +400,13 @@ SimStats SimEngine::run() {
     if (is_timer) {
       agents_[target]->on_timer(ctx, ev.timer_id);
     } else {
-      last_delivered_[target] = ev.msg;
-      last_delivery_time_[target] = ev.time;
-      agents_[target]->on_message(ctx, ev.msg);
+      // The message moves into the agent's last-delivered record (no copy)
+      // and the callback reads it there; add_agent is barred while running,
+      // so the record stays put during the callback.
+      std::optional<Message>& last = last_delivered_[target];
+      last = std::move(ev.msg);
+      last_delivery_time_[target] = key.time;
+      agents_[target]->on_message(ctx, *last);
     }
   }
 
@@ -381,9 +417,11 @@ SimStats SimEngine::run() {
 
 std::vector<std::pair<AgentId, std::string>> SimEngine::blocked_agents() const {
   std::vector<std::pair<AgentId, std::string>> blocked;
-  for (AgentId id = 0; id < num_agents(); ++id)
-    if (!waiting_[static_cast<size_t>(id)].empty() && !crashed_[static_cast<size_t>(id)])
-      blocked.emplace_back(id, waiting_[static_cast<size_t>(id)]);
+  for (AgentId id = 0; id < num_agents(); ++id) {
+    const size_t i = static_cast<size_t>(id);
+    if (waiting_[i].why != nullptr && !crashed_[i])
+      blocked.emplace_back(id, waiting_[i].render());
+  }
   return blocked;
 }
 
@@ -392,14 +430,15 @@ QuiescenceReport SimEngine::quiescence_report() const {
   for (AgentId id = 0; id < num_agents(); ++id) {
     const size_t i = static_cast<size_t>(id);
     if (crashed_[i]) report.crashed.push_back(id);
-    if (waiting_[i].empty() || crashed_[i]) continue;
+    if (waiting_[i].why == nullptr || crashed_[i]) continue;
     AgentQuiescence q;
     q.agent = id;
-    q.waiting_reason = waiting_[i];
+    q.waiting_reason = waiting_[i].render();
     q.crashed = false;
     q.last_delivered = last_delivered_[i];
     q.last_delivery_time = last_delivery_time_[i];
-    q.pending_timers.assign(pending_timers_[i].begin(), pending_timers_[i].end());
+    q.pending_timers = pending_timers_[i];
+    std::sort(q.pending_timers.begin(), q.pending_timers.end());
     report.blocked.push_back(std::move(q));
   }
   return report;

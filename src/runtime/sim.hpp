@@ -27,8 +27,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <queue>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -142,8 +140,12 @@ class AgentContext {
 
   /// Declares outstanding work: the engine reports the agent as blocked if
   /// the simulation quiesces while any declared work remains. Counterpart:
-  /// mark_done().
-  void mark_waiting(const std::string& why);
+  /// mark_done(). `why` must outlive the run (pass a string literal); the
+  /// engine stores the pointer and `arg`, and only blocked_agents() /
+  /// quiescence_report() render them, as `why` followed by the decimal
+  /// `arg` when `arg` >= 0 ("message from P" + 3 -> "message from P3").
+  /// Blocking thus costs no string building on the hot path.
+  void mark_waiting(const char* why, int64_t arg = -1);
   void mark_done();
 
   /// Engine-owned deterministic randomness.
@@ -240,15 +242,15 @@ struct SimStats {
 /// for a watchdog to classify the failure, not just observe it.
 struct AgentQuiescence {
   AgentId agent = -1;
-  std::string waiting_reason;  ///< the mark_waiting() string
+  std::string waiting_reason;  ///< the rendered mark_waiting() reason
   bool crashed = false;
   /// The last message delivered to this agent before it stalled (what it
   /// acted on last), if any message was ever delivered.
   std::optional<Message> last_delivered;
   SimTime last_delivery_time = -1;
-  /// Timer ids scheduled for this agent but not yet fired (non-empty only
-  /// when the run stopped at the time limit; a naturally quiesced queue has
-  /// no pending timers by definition).
+  /// Timer ids scheduled for this agent but not yet fired, ascending
+  /// (non-empty only when the run stopped at the time limit; a naturally
+  /// quiesced queue has no pending timers by definition).
   std::vector<int64_t> pending_timers;
 };
 
@@ -259,7 +261,11 @@ struct QuiescenceReport {
   std::vector<AgentId> crashed;
 };
 
-/// The engine: a priority queue of (time, seq)-ordered deliveries.
+/// The engine: a binary heap of (time, seq)-ordered deliveries. The heap
+/// holds 24-byte keys; each key names a payload slot that is recycled once
+/// its event is processed, so steady-state runs allocate nothing per event
+/// in the engine itself. (time, seq) is a total order (seq is unique), so
+/// the pop order is fully determined by the pushes.
 class SimEngine {
  public:
   explicit SimEngine(const SimOptions& options = {});
@@ -312,38 +318,50 @@ class SimEngine {
  private:
   friend class AgentContext;
 
+  /// Everything of a pending event except its ordering key.
   struct PendingEvent {
     enum class Kind : uint8_t { kMessage, kTimer, kCrash, kRestart };
-    Kind kind;
-    SimTime time;
-    int64_t seq;  // FIFO tiebreak for equal times
-    AgentId target;
-    int64_t timer_id;
+    Kind kind = Kind::kMessage;
+    AgentId target = -1;
+    int64_t timer_id = 0;
     /// Crash epoch of the target at enqueue time: a crash invalidates every
     /// delivery enqueued before it, even ones timed after a restart.
-    int64_t epoch;
-    SimTime sent_at;  // enqueue time; delivery latency = time - sent_at
+    int64_t epoch = 0;
+    SimTime sent_at = 0;  // enqueue time; delivery latency = time - sent_at
     Message msg;
     /// Sender's flight-recorder clock at send time (empty when no recorder
     /// is installed): the snapshot the receiver merges on delivery.
     std::vector<int32_t> flight_clock;
+  };
 
-    bool operator>(const PendingEvent& o) const {
-      if (time != o.time) return time > o.time;
-      return seq > o.seq;
-    }
+  /// Heap entry: the ordering key plus the slot holding the payload.
+  struct EventKey {
+    SimTime time;
+    int64_t seq;  // FIFO tiebreak for equal times; unique per engine
+    uint32_t slot;
+  };
+  static bool later(const EventKey& a, const EventKey& b) {
+    if (a.time != b.time) return a.time > b.time;
+    return a.seq > b.seq;
+  }
+
+  /// Why an agent is waiting: the literal and argument given to
+  /// mark_waiting(); why == nullptr means not waiting.
+  struct WaitReason {
+    const char* why = nullptr;
+    int64_t arg = -1;
+    std::string render() const;
   };
 
   void send_from(AgentId from, AgentId to, Message msg);
   void timer_from(AgentId from, SimTime delay, int64_t timer_id);
   void enqueue_delivery(AgentId to, SimTime at, Message msg,
                         const std::vector<int32_t>* flight_clock = nullptr);
-
-  /// High-water mark tracking, called after every enqueue.
-  void note_queue_depth() {
-    const auto depth = static_cast<int64_t>(queue_.size());
-    if (depth > stats_.max_queue_depth) stats_.max_queue_depth = depth;
-  }
+  /// Claims a payload slot (recycled when one is free), fills its header,
+  /// pushes its key and updates the queue high-water mark. Message events
+  /// then fill in the payload through the returned slot.
+  PendingEvent& push_event(PendingEvent::Kind kind, SimTime time, AgentId target,
+                           int64_t timer_id, int64_t epoch);
 
   SimOptions options_;
   Rng rng_;
@@ -352,13 +370,17 @@ class SimEngine {
   /// Per directed channel: latest scheduled delivery (FIFO mode).
   std::map<std::pair<AgentId, AgentId>, SimTime> channel_front_;
   std::vector<std::unique_ptr<Agent>> agents_;
-  std::vector<std::string> waiting_;  // per-agent reason, empty = not waiting
+  std::vector<WaitReason> waiting_;
   std::vector<bool> crashed_;
   std::vector<int64_t> crash_epoch_;
   std::vector<std::optional<Message>> last_delivered_;
   std::vector<SimTime> last_delivery_time_;
-  std::vector<std::multiset<int64_t>> pending_timers_;
-  std::priority_queue<PendingEvent, std::vector<PendingEvent>, std::greater<>> queue_;
+  /// Per agent, the ids of its queued timers in no particular order (an
+  /// agent rarely has more than one); quiescence_report() sorts a copy.
+  std::vector<std::vector<int64_t>> pending_timers_;
+  std::vector<EventKey> queue_;  // binary min-heap under later()
+  std::vector<PendingEvent> slots_;
+  std::vector<uint32_t> free_slots_;
   /// Recycled flight-clock buffers: each delivery returns its snapshot
   /// vector here and each send takes one back, so steady-state recording
   /// costs a copy, not an allocation, per message.

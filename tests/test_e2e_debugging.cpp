@@ -63,7 +63,8 @@ TEST_F(E2E, AvailabilityControlYieldsSafeC2) {
 TEST_F(E2E, Bug2IsDetectedInC1) {
   Session session(scenario_.system, scenario_.availability);
   Observation c1 = session.observe(1);
-  PredicateTable witness = c1.run.predicate_table(scenario_.bug2_witness);
+  PredicateTable witness =
+      c1.run.predicate_table(scenario_.system, scenario_.bug2_witness);
   auto d = detect_weak_conjunctive(c1.run.deposet, witness);
   ASSERT_TRUE(d.detected) << "f can execute while e has not happened";
   // At the witness cut, server 0 is past f and server 2 before e.
@@ -84,14 +85,16 @@ TEST_F(E2E, OrderingControlEliminatesBothBugs) {
   ASSERT_TRUE(cd->realizable());
 
   // ...which renders bug2's witness cuts inconsistent...
-  PredicateTable order_table = c1.run.predicate_table(scenario_.e_before_f);
+  PredicateTable order_table =
+      c1.run.predicate_table(scenario_.system, scenario_.e_before_f);
   EXPECT_TRUE(satisfies_everywhere(
       *cd, [&](const Cut& c) { return eval_disjunctive(order_table, c); }));
 
   // ...and -- the punchline -- ALSO eliminates bug1: every consistent cut of
   // C4 keeps at least one server available, although we never controlled for
   // availability.
-  PredicateTable avail_table = c1.run.predicate_table(scenario_.availability);
+  PredicateTable avail_table =
+      c1.run.predicate_table(scenario_.system, scenario_.availability);
   Cut bad;
   EXPECT_TRUE(satisfies_everywhere(
       *cd, [&](const Cut& c) { return eval_disjunctive(avail_table, c); }, &bad))

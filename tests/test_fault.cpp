@@ -265,7 +265,7 @@ TEST(FaultInjector, ScriptedProcessResumesAfterRestart) {
   EXPECT_EQ(run.stats.restarts, 1);
   EXPECT_GE(run.stats.deliveries_discarded, 1);  // the instruction timer
   // All six states of P1 entered; the post-crash ones after the restart.
-  ASSERT_EQ(run.vars[1].size(), 6u);
+  ASSERT_EQ(run.entry_times[1].size(), 6u);
   EXPECT_GE(run.entry_times[1].back(), 47'000);
 }
 
@@ -461,7 +461,7 @@ TEST(Watchdog, ExhaustedPeersReleaseControlDegraded) {
   EXPECT_NE(g.failure.detail.find("degraded"), std::string::npos);
   // The trace is complete: every process entered all its states.
   for (size_t p = 0; p < 2; ++p)
-    EXPECT_EQ(g.obs.run.vars[p].size(), session.system()[p].instrs.size() + 1);
+    EXPECT_EQ(g.obs.run.entry_times[p].size(), session.system()[p].instrs.size() + 1);
 }
 
 TEST(Watchdog, RoundRobinFailoverHealsCrashedTarget) {
@@ -665,8 +665,8 @@ TEST(Watchdog, UnhealedPartitionWedgesMinorityClassifiedPartitioned) {
   EXPECT_EQ(g.failure.partition->from, 1'000);
   EXPECT_EQ(g.failure.partition->until, -1);
   // Quorum-side progress: P0 and P1 entered every scripted state.
-  EXPECT_EQ(g.obs.run.vars[0].size(), 4u);
-  EXPECT_EQ(g.obs.run.vars[1].size(), 3u);
+  EXPECT_EQ(g.obs.run.entry_times[0].size(), 4u);
+  EXPECT_EQ(g.obs.run.entry_times[1].size(), 3u);
   // The minority receiver is stuck before its receive completes.
   EXPECT_EQ(g.failure.blocked_cut[2], 0);
   // Determinism: the verdict reproduces byte for byte.

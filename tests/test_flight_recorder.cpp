@@ -336,11 +336,6 @@ std::string run_fingerprint(const sim::RunResult& run) {
     for (sim::SimTime t : per_proc) os << t << ",";
     os << "\n";
   }
-  for (const auto& per_proc : run.vars)
-    for (const auto& vars : per_proc) {
-      for (const auto& [k, v] : vars) os << k << "=" << v << ";";
-      os << "|";
-    }
   return os.str();
 }
 

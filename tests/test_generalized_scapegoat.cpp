@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <vector>
+
 namespace predctrl::mutex {
 namespace {
 
@@ -32,7 +35,7 @@ TEST_P(GeneralizedSweep, EnforcesKAndCompletes) {
   const int32_t n = std::get<0>(GetParam());
   const int32_t k = std::get<1>(GetParam());
   const uint64_t seed = std::get<2>(GetParam());
-  if (k >= n) GTEST_SKIP();
+  ASSERT_LT(k, n);
 
   MutexRunResult r = run_generalized_kmutex(workload(n, 8, seed, /*contended=*/true), k);
   EXPECT_FALSE(r.deadlocked) << "n=" << n << " k=" << k;
@@ -40,10 +43,17 @@ TEST_P(GeneralizedSweep, EnforcesKAndCompletes) {
   EXPECT_LE(r.max_concurrent_cs, k) << "n=" << n << " k=" << k;
 }
 
-INSTANTIATE_TEST_SUITE_P(Sweep, GeneralizedSweep,
-                         ::testing::Combine(::testing::Values(3, 5, 8),
-                                            ::testing::Values(1, 2, 4, 7),
-                                            ::testing::Range<uint64_t>(0, 5)));
+// The (n, k, seed) grid with k in {1, 2, 4, 7} restricted to k < n: the
+// strategy needs at least one anti-token (n - k >= 1).
+std::vector<std::tuple<int32_t, int32_t, uint64_t>> sweep_grid() {
+  std::vector<std::tuple<int32_t, int32_t, uint64_t>> grid;
+  for (int32_t n : {3, 5, 8})
+    for (int32_t k : {1, 2, 4, 7})
+      for (uint64_t seed = 0; seed < 5 && k < n; ++seed) grid.emplace_back(n, k, seed);
+  return grid;
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, GeneralizedSweep, ::testing::ValuesIn(sweep_grid()));
 
 TEST(Generalized, ContentionActuallyReachesTheBound) {
   // Sanity that the k-bound binds: with heavy contention the run should

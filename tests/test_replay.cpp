@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "control/offline_disjunctive.hpp"
+#include "control/offline_general.hpp"
 #include "control/strategy.hpp"
 #include "predicates/global_predicate.hpp"
 #include "runtime/scripted.hpp"
@@ -43,7 +44,17 @@ class ReplaySeeds : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(ReplaySeeds, ControlledReplayEnforcesPredicate) {
   Workbench w = make_workbench(GetParam(), 3, 8);
   auto r = control_disjunctive_offline(w.deposet, w.predicate);
-  if (!r.controllable) GTEST_SKIP() << "predicate infeasible for this trace";
+  if (!r.controllable) {
+    // Infeasible: the Lemma 2 witness must really overlap, and exhaustive
+    // search over satisfying global sequences (affordable at 3 x 8) must
+    // agree that no controller exists.
+    EXPECT_TRUE(is_overlapping_set(w.deposet, r.blocking_intervals));
+    const GeneralControlResult general = control_general_offline(
+        w.deposet, [&w](const Cut& c) { return eval_disjunctive(w.predicate, c); });
+    ASSERT_FALSE(general.truncated);
+    EXPECT_FALSE(general.controllable);
+    return;
+  }
 
   ControlStrategy strategy = ControlStrategy::compile(w.deposet, r.control);
   for (uint64_t run_seed = 0; run_seed < 5; ++run_seed) {

@@ -2,6 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
+#include "control/offline_disjunctive.hpp"
+#include "control/strategy.hpp"
+#include "fault/fault_plan.hpp"
+#include "runtime/scripted.hpp"
+#include "trace/random_trace.hpp"
+#include "trace/serialize.hpp"
+
 namespace predctrl::sim {
 namespace {
 
@@ -199,6 +208,107 @@ TEST(SimEngine, StatsResetBetweenRunsOnReusedEngine) {
   EXPECT_EQ(second.max_queue_depth, 1);
   EXPECT_EQ(t->fired_at_.size(), 8u);
   EXPECT_FALSE(engine.hit_time_limit());
+}
+
+// ------------------------------------------------- event-order determinism
+
+// One line per run: every SimStats counter, a hash of the traced deposet and
+// the length of the cut timeline. Any change in the order the engine pops
+// (time, seq)-equal or -ordered events shows up here, because the delay
+// draws, fault draws and state-entry times all follow that order.
+std::string run_pin(const RunResult& run) {
+  uint64_t h = 1469598103934665603ull;  // FNV-1a over the deposet text
+  for (unsigned char c : deposet_to_string(run.deposet)) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  const SimStats& s = run.stats;
+  std::ostringstream os;
+  os << "ev=" << s.events_processed << " sent=" << s.messages_sent
+     << " app=" << s.application_messages << " ctl=" << s.control_messages
+     << " loc=" << s.local_messages << " tmr=" << s.timers_fired
+     << " maxq=" << s.max_queue_depth << " end=" << s.end_time
+     << " drop=" << s.messages_dropped << " dup=" << s.messages_duplicated
+     << " crash=" << s.crashes << " restart=" << s.restarts
+     << " disc=" << s.deliveries_discarded << " dead=" << run.deadlocked
+     << " cuts=" << run.cut_timeline().size() << " h=" << std::hex << h;
+  return os.str();
+}
+
+struct PinSystem {
+  Deposet deposet;
+  PredicateTable predicate;
+  ScriptedSystem system;
+};
+
+PinSystem pin_system(uint64_t seed, int32_t n, int32_t events) {
+  Rng rng(seed);
+  PinSystem w;
+  w.deposet = random_deposet({n, events, 0.3, 0.5}, rng);
+  w.predicate = random_predicate_table(w.deposet, {0.3, 0.4}, rng);
+  // Durations and delays from narrow ranges make many events share a
+  // timestamp, so the seq tiebreak decides their order (and with it the
+  // order of the engine's delay draws).
+  w.system = scripts_from_deposet(w.deposet, &w.predicate, rng, 1'000, 1'004);
+  return w;
+}
+
+// Values recorded with the std::priority_queue engine this heap replaced:
+// plain observation, a controlled replay, and a crash/restart run with
+// duplicated application messages, three engine seeds each.
+TEST(SimEngine, EventOrderPinnedAcrossQueueImplementations) {
+  const PinSystem plain = pin_system(101, 4, 30);
+  const PinSystem replayed = pin_system(202, 5, 40);
+  const PinSystem faulty = pin_system(303, 3, 25);
+
+  const OfflineControlResult control =
+      control_disjunctive_offline(replayed.deposet, replayed.predicate);
+  ASSERT_TRUE(control.controllable);
+  ASSERT_FALSE(control.control.empty());
+  const ControlStrategy strategy =
+      ControlStrategy::compile(replayed.deposet, control.control);
+
+  fault::FaultPlan plan;
+  plan.seed = 17;
+  plan.plane(Message::Plane::kApplication).duplicate = 0.25;
+  plan.crashes.push_back({/*agent=*/2, /*at=*/30'000, /*restart_at=*/30'400});
+
+  std::vector<std::string> got;
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    SimOptions opt;
+    opt.seed = seed;
+    opt.min_delay = 1'000;
+    opt.max_delay = 1'004;
+    got.push_back(run_pin(run_scripts(plain.system, opt)));
+    got.push_back(run_pin(run_scripts(replayed.system, opt, &strategy)));
+    got.push_back(
+        run_pin(run_scripts(faulty.system, opt, nullptr, nullptr, nullptr, &plan)));
+  }
+  const std::vector<std::string> expected = {
+      "ev=158 sent=32 app=32 ctl=0 loc=0 tmr=126 maxq=7 end=41089 "
+      "drop=0 dup=0 crash=0 restart=0 disc=0 dead=0 cuts=100 h=ea15657b3979db64",
+      "ev=263 sent=55 app=48 ctl=7 loc=0 tmr=208 maxq=6 end=84153 "
+      "drop=0 dup=0 crash=0 restart=0 disc=0 dead=0 cuts=188 h=6db5c531be699d4c",
+      "ev=83 sent=11 app=11 ctl=0 loc=0 tmr=68 maxq=8 end=79142 "
+      "drop=0 dup=2 crash=1 restart=1 disc=2 dead=1 cuts=58 h=76afb6d362608c37",
+      "ev=158 sent=32 app=32 ctl=0 loc=0 tmr=126 maxq=7 end=41096 "
+      "drop=0 dup=0 crash=0 restart=0 disc=0 dead=0 cuts=115 h=ea15657b3979db64",
+      "ev=263 sent=55 app=48 ctl=7 loc=0 tmr=208 maxq=6 end=84155 "
+      "drop=0 dup=0 crash=0 restart=0 disc=0 dead=0 cuts=188 h=6db5c531be699d4c",
+      "ev=83 sent=11 app=11 ctl=0 loc=0 tmr=68 maxq=8 end=79146 "
+      "drop=0 dup=2 crash=1 restart=1 disc=2 dead=1 cuts=60 h=76afb6d362608c37",
+      "ev=158 sent=32 app=32 ctl=0 loc=0 tmr=126 maxq=7 end=41087 "
+      "drop=0 dup=0 crash=0 restart=0 disc=0 dead=0 cuts=109 h=ea15657b3979db64",
+      "ev=263 sent=55 app=48 ctl=7 loc=0 tmr=208 maxq=7 end=84157 "
+      "drop=0 dup=0 crash=0 restart=0 disc=0 dead=0 cuts=189 h=6db5c531be699d4c",
+      "ev=83 sent=11 app=11 ctl=0 loc=0 tmr=68 maxq=8 end=79142 "
+      "drop=0 dup=2 crash=1 restart=1 disc=2 dead=1 cuts=62 h=76afb6d362608c37",
+  };
+  EXPECT_EQ(got, expected) << [&] {
+    std::string all;
+    for (const std::string& line : got) all += "\n      \"" + line + "\",";
+    return all;
+  }();
 }
 
 TEST(SimEngine, RejectsBadConfiguration) {
