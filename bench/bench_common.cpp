@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "obs/json.hpp"
-#include "parallel/parallel.hpp"
 
 namespace predctrl::benchutil {
 
@@ -76,22 +75,6 @@ int bench_main(int argc, char** argv) {
       write_out = false;
     } else if (arg == "--smoke") {
       smoke = true;
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      try {
-        parallel::set_thread_count(std::stoi(arg.substr(std::strlen("--threads="))));
-      } catch (const std::exception&) {
-        std::cerr << bench << ": bad --threads value in '" << arg << "'\n";
-        return 1;
-      }
-    } else if (arg.rfind("--engine=", 0) == 0) {
-      const std::string name = arg.substr(std::strlen("--engine="));
-      const std::optional<parallel::Engine> eng = parallel::parse_engine(name);
-      if (!eng) {
-        std::cerr << bench << ": bad --engine value '" << name
-                  << "' (want conservative|optimistic)\n";
-        return 1;
-      }
-      parallel::set_engine(*eng);
     } else {
       if (arg.rfind("--benchmark_min_time", 0) == 0) has_min_time = true;
       pass.push_back(argv[i]);
@@ -121,8 +104,6 @@ int bench_main(int argc, char** argv) {
   root.emplace_back("schema", obs::Json("predctrl-bench-v1"));
   root.emplace_back("bench", obs::Json(bench));
   root.emplace_back("smoke", obs::Json(smoke));
-  root.emplace_back("threads", obs::Json(static_cast<int64_t>(parallel::thread_count())));
-  root.emplace_back("engine", obs::Json(parallel::engine_name(parallel::engine())));
   root.emplace_back("results", obs::Json(std::move(results)));
 
   std::ofstream out(out_path);

@@ -8,7 +8,6 @@
 //     tooling and the `bench-smoke` ctest label consume:
 //
 //       {"schema":"predctrl-bench-v1","bench":"bench_x","smoke":false,
-//        "threads":1,"engine":"conservative",
 //        "results":[{"name":"BM_Y/4","run_type":"iteration","iterations":N,
 //                    "real_time_ns":...,"cpu_time_ns":...,
 //                    "counters":{"msgs_per_entry":...}}]}
@@ -19,18 +18,6 @@
 //   --smoke            tiny-workload mode: forces --benchmark_min_time to a
 //                      minimum-effort value so each case runs ~1 iteration;
 //                      used by the bench-smoke ctest label
-//   --threads=N        width of the parallel engine for the whole binary
-//                      (parallel::set_thread_count); recorded as the
-//                      "threads" field of the JSON root so every
-//                      BENCH_*.json carries its thread-count dimension.
-//                      Cases may still sweep thread counts themselves
-//                      (bench_parallel_scaling does).
-//   --engine=NAME      execution engine for DAG-shaped work, conservative
-//                      (default) or optimistic (parallel::set_engine);
-//                      recorded as the "engine" field of the JSON root.
-//                      Overrides the PREDCTRL_ENGINE environment variable.
-//                      Cases may still pin an engine per case
-//                      (bench_parallel_scaling's engine comparison does).
 #pragma once
 
 namespace predctrl::benchutil {

@@ -76,7 +76,7 @@ const Instance& instance(int64_t size_idx) {
     popt.false_probability = 0.5;
     popt.flip_probability = 0.2;  // long runs -> a healthy interval count
     inst.predicate = random_predicate_table(inst.deposet, popt, rng);
-    inst.intervals = extract_false_intervals(inst.predicate, nullptr);
+    inst.intervals = extract_false_intervals(inst.predicate);
     built[size_idx] = true;
   }
   return inst;
@@ -99,7 +99,7 @@ double best_seconds(int reps, Fn&& fn) {
 
 using LegacyClocks = std::vector<std::vector<VectorClock>>;
 
-// The pre-refactor serial engine, verbatim: per-state heap clocks, a
+// The pre-refactor clock build, verbatim: per-state heap clocks, a
 // per-state adjacency of vectors, Kahn's algorithm pushing merges.
 LegacyClocks legacy_clock_build(const std::vector<int32_t>& lengths,
                                 std::span<const MessageEdge> edges) {
@@ -248,11 +248,11 @@ void BM_ClockBuild_Flat(benchmark::State& state) {
   const auto& lengths = inst.deposet.lengths();
   const auto& messages = inst.deposet.messages();
   for (auto _ : state) {
-    ClockComputation cc = compute_state_clocks(lengths, messages, nullptr);
+    ClockComputation cc = compute_state_clocks(lengths, messages);
     benchmark::DoNotOptimize(cc);
   }
   const double t_flat = best_seconds(3, [&] {
-    ClockComputation cc = compute_state_clocks(lengths, messages, nullptr);
+    ClockComputation cc = compute_state_clocks(lengths, messages);
     benchmark::DoNotOptimize(cc);
   });
   const double t_legacy = best_seconds(3, [&] {

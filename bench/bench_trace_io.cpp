@@ -78,7 +78,7 @@ const Instance& instance(int64_t size_idx) {
     popt.false_probability = 0.5;
     popt.flip_probability = 0.2;
     inst.predicate = random_predicate_table(inst.deposet, popt, rng);
-    inst.intervals = extract_false_intervals(inst.predicate, nullptr);
+    inst.intervals = extract_false_intervals(inst.predicate);
     inst.path = std::string("/tmp/predctrl_bench_trace_") + spec.name + ".pctrace";
     TraceSaveOptions save;
     save.intervals = &inst.intervals;
@@ -93,8 +93,8 @@ const Instance& instance(int64_t size_idx) {
     PREDCTRL_REQUIRE(a.size() == b.size() &&
                          std::memcmp(a.data(), b.data(), a.size_bytes()) == 0,
                      "mapped clock slab differs from the built slab");
-    const auto det_a = detect_weak_conjunctive(inst.deposet, inst.predicate, nullptr);
-    const auto det_b = detect_weak_conjunctive(t.deposet(), inst.predicate, nullptr);
+    const auto det_a = detect_weak_conjunctive(inst.deposet, inst.predicate);
+    const auto det_b = detect_weak_conjunctive(t.deposet(), inst.predicate);
     PREDCTRL_REQUIRE(det_a.detected == det_b.detected &&
                          (!det_a.detected ||
                           det_a.first_cut.indices() == det_b.first_cut.indices()),
@@ -123,8 +123,7 @@ void drop_page_cache(const std::string& path) {
 }
 
 // The baseline a zero-parse open replaces: re-validate the messages and
-// recompute every vector clock (serial engine -- the honest single-thread
-// comparison; the parallel engine trades cores for the same work).
+// recompute every vector clock.
 Deposet build_from_scratch(const Instance& inst) {
   DeposetBuilder b(inst.deposet.num_processes());
   for (ProcessId p = 0; p < inst.deposet.num_processes(); ++p)
@@ -236,7 +235,7 @@ void BM_OpenAndDetect(benchmark::State& state) {
   for (auto _ : state) {
     const auto t0 = std::chrono::steady_clock::now();
     const MappedTrace t = MappedTrace::open(inst.path);
-    const auto det = detect_weak_conjunctive(t.deposet(), inst.predicate, nullptr);
+    const auto det = detect_weak_conjunctive(t.deposet(), inst.predicate);
     total_seconds = std::min(total_seconds, seconds_since(t0));
     benchmark::DoNotOptimize(det);
     resident = t.resident_bytes();

@@ -75,9 +75,10 @@ Json load_and_validate(const std::string& path) {
   if (require(doc, "bench", Json::Kind::kString, "top level").as_string().empty())
     fail("\"bench\" is empty");
   require(doc, "smoke", Json::Kind::kBool, "top level");
-  // "engine" arrived with the execution-engine seam; absent in snapshots
-  // taken before it, so optional -- but when present it must be a known
-  // engine name (a typo here would silently mislabel a whole snapshot).
+  // "engine" is no longer written, but the committed baseline snapshots
+  // taken while the library had two execution engines carry it. Optional
+  // -- but when present it must be a known engine name (a typo here would
+  // silently mislabel a whole snapshot).
   if (const Json* engine = doc.find("engine")) {
     if (!engine->is_string()) fail("top level: key \"engine\" has wrong type");
     if (engine->as_string() != "conservative" && engine->as_string() != "optimistic")
@@ -146,18 +147,6 @@ Direction counter_direction(const std::string& name) {
   if (contains_any(name, {"reduction_ratio"})) return Direction::kHigherBetter;
   if (contains_any(name, {"cuts_pruned"})) return Direction::kInformational;
   if (contains_any(name, {"cuts_visited"})) return Direction::kLowerBetter;
-  // Optimistic-engine accounting (bench_parallel_scaling's engine
-  // comparison), classified BEFORE the per_sec/throughput heuristics:
-  // rollback and speculation counts are workload descriptors -- a denser
-  // cross-edge trace legitimately speculates and rolls back more -- so
-  // they never regress; gvt_lag (executed-but-uncommitted backlog) is
-  // genuine scheduler slack and is lower-better. committed_per_sec falls
-  // through to the generic per_sec rule; parallel_efficiency (speedup /
-  // threads) needs its own rule because "efficiency" matches no generic
-  // higher-better substring.
-  if (contains_any(name, {"gvt_lag"})) return Direction::kLowerBetter;
-  if (contains_any(name, {"rollback", "speculative"})) return Direction::kInformational;
-  if (contains_any(name, {"efficiency"})) return Direction::kHigherBetter;
   if (contains_any(name, {"per_sec", "speedup", "throughput"}))
     return Direction::kHigherBetter;
   if (contains_any(name, {"bytes", "_checks", "_ns", "_us", "_ms"}))

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Runs every benchmark binary with fixed seeds and a fixed thread count and
-# collects the emitted BENCH_*.json files into a per-commit snapshot under
+# Runs every benchmark binary with fixed seeds and collects the emitted
+# BENCH_*.json files into a per-commit snapshot under
 # bench/baselines/<git-short-sha>/. A rolling history is kept:
 #
 #   bench/baselines/HISTORY   one snapshot name per line, oldest first;
@@ -14,17 +14,13 @@
 # show as trends between consecutive committed snapshots. Commit the new
 # snapshot dir plus HISTORY/LATEST to refresh the baseline.
 #
-#   bench/run_all.sh [build-dir] [--smoke] [--gate] [--threads=N] [--engine=NAME]
+#   bench/run_all.sh [build-dir] [--smoke] [--gate]
 #
 # Workload seeds are compiled into each bench (every case constructs its
 # traces from fixed Rng seeds), so runs are reproducible up to machine
-# speed; --threads pins the pool width (default 4) so parallel cases are
-# comparable across hosts, and --engine pins the execution engine
-# (conservative|optimistic, default conservative) for every binary --
-# recorded in each JSON root, so a snapshot is always single-engine.
-# --smoke forwards the harness's single-iteration mode for a fast sanity
-# pass; smoke results go to a scratch dir and never touch HISTORY/LATEST --
-# do NOT commit a smoke baseline.
+# speed. --smoke forwards the harness's single-iteration mode for a fast
+# sanity pass; smoke results go to a scratch dir and never touch
+# HISTORY/LATEST -- do NOT commit a smoke baseline.
 #
 # --gate is the CI perf gate: FULL workloads (no --smoke), each fresh JSON
 # checked against the committed LATEST snapshot with check_bench_json
@@ -39,23 +35,15 @@ cd "$(dirname "$0")/.."
 BUILD_DIR=build
 SMOKE=""
 GATE=""
-THREADS=4
-ENGINE=conservative
 KEEP=5
 for arg in "$@"; do
   case "$arg" in
     --smoke) SMOKE="--smoke" ;;
     --gate) GATE=1 ;;
-    --threads=*) THREADS="${arg#--threads=}" ;;
-    --engine=*) ENGINE="${arg#--engine=}" ;;
-    -*) echo "usage: bench/run_all.sh [build-dir] [--smoke] [--gate] [--threads=N] [--engine=NAME]" >&2; exit 2 ;;
+    -*) echo "usage: bench/run_all.sh [build-dir] [--smoke] [--gate]" >&2; exit 2 ;;
     *) BUILD_DIR="$arg" ;;
   esac
 done
-case "$ENGINE" in
-  conservative|optimistic) ;;
-  *) echo "run_all.sh: bad --engine value '$ENGINE' (want conservative|optimistic)" >&2; exit 2 ;;
-esac
 if [ -n "$SMOKE" ] && [ -n "$GATE" ]; then
   echo "run_all.sh: --smoke and --gate are mutually exclusive (the gate needs full workloads)" >&2
   exit 2
@@ -87,8 +75,8 @@ for bin in "$BENCH_DIR"/bench_*; do
   [ -x "$bin" ] || continue
   name=$(basename "$bin")
   json="$OUT_DIR/BENCH_$name.json"
-  echo "== $name (threads=$THREADS, engine=$ENGINE${SMOKE:+, smoke}) =="
-  if ! "$bin" $SMOKE "--threads=$THREADS" "--engine=$ENGINE" "--bench-out=$json"; then
+  echo "== $name${SMOKE:+ (smoke)} =="
+  if ! "$bin" $SMOKE "--bench-out=$json"; then
     echo "run_all.sh: $name FAILED" >&2
     status=1
     continue

@@ -23,16 +23,6 @@
 //                       Overrides the PREDCTRL_TRACE environment variable.
 //   --flight-out=FILE   where to write the predctrl-flight-v1 JSON dump when a
 //                       flight timeline is produced (default predctrl-flight.json)
-//   --threads=N         width of the parallel engine (parallel/parallel.hpp);
-//                       default 1 (serial). Results are identical at any N --
-//                       the parallel hot paths are deterministic by
-//                       construction.
-//   --engine=NAME       execution engine for DAG-shaped parallel work
-//                       (parallel/dag_scheduler.hpp): conservative (default)
-//                       or optimistic. Overrides the PREDCTRL_ENGINE
-//                       environment variable. Results are identical under
-//                       either engine -- optimistic speculation is rolled
-//                       back before it can surface.
 //   --fault-seed=N      seed of the fault plan's own Rng (fault/, default 1)
 //   --fault-drop=P      drop each control-plane message with probability P
 //   --fault-corrupt=P   Byzantine bit-flip each application- and control-plane
@@ -128,7 +118,6 @@
 #include "obs/obs.hpp"
 #include "obs/trace_point.hpp"
 #include "online/guard.hpp"
-#include "parallel/parallel.hpp"
 #include "predicates/detection.hpp"
 #include "predicates/global_predicate.hpp"
 #include "predicates/intervals.hpp"
@@ -172,16 +161,15 @@ StepSemantics semantics_arg(const std::vector<std::string>& args, size_t index) 
 }
 
 int usage() {
-  std::cerr << "usage: predctl_tool [--trace-out=FILE] [--metrics-out=FILE] [--threads=N]\n"
-               "                    [--engine=conservative|optimistic]\n"
+  std::cerr << "usage: predctl_tool [--trace-out=FILE] [--metrics-out=FILE]\n"
                "                    [--trace-points=SPEC] [--flight-out=FILE]\n"
                "                    feasible|detect|control|dot|races <deposet> "
                "[predicate] [realtime|simultaneous]\n"
                "       predctl_tool slice <deposet> <predicate> [--slice-out=FILE]\n"
-               "       predctl_tool [--trace-out=FILE] [--metrics-out=FILE] [--threads=N]\n"
-               "                    [--engine=NAME] [--fault-seed=N] [--fault-drop=P] "
-               "[--fault-corrupt=P]\n"
-               "                    [--fault-crash=A@T] [--fault-drop-at=K]\n"
+               "       predctl_tool [--trace-out=FILE] [--metrics-out=FILE] "
+               "[--fault-seed=N] [--fault-drop=P]\n"
+               "                    [--fault-corrupt=P] [--fault-crash=A@T] "
+               "[--fault-drop-at=K]\n"
                "                    [--fault-partition=GROUPS@FROM[-UNTIL]] "
                "quickstart|flight|minimize-fault\n"
                "       predctl_tool save-trace <deposet> [predicate] --out=FILE\n"
@@ -583,23 +571,6 @@ int main(int argc, char** argv) {
         return 2;
       }
     }
-    else if (arg.rfind("--threads=", 0) == 0)
-      try {
-        parallel::set_thread_count(std::stoi(arg.substr(std::strlen("--threads="))));
-      } catch (const std::exception&) {
-        std::cerr << "predctl_tool: bad --threads value in '" << arg << "'\n";
-        return 2;
-      }
-    else if (arg.rfind("--engine=", 0) == 0) {
-      const std::string name = arg.substr(std::strlen("--engine="));
-      const std::optional<parallel::Engine> eng = parallel::parse_engine(name);
-      if (!eng) {
-        std::cerr << "predctl_tool: bad --engine value '" << name
-                  << "' (want conservative|optimistic)\n";
-        return 2;
-      }
-      parallel::set_engine(*eng);
-    }
     else if (arg.rfind("--fault-seed=", 0) == 0)
       try {
         fault_plan.seed = std::stoull(arg.substr(std::strlen("--fault-seed=")));
@@ -661,6 +632,9 @@ int main(int argc, char** argv) {
                   << "'\n";
         return 2;
       }
+    } else if (arg.rfind("--", 0) == 0) {
+      std::cerr << "predctl_tool: unknown flag '" << arg << "'\n";
+      return usage();
     } else
       args.push_back(arg);
   }

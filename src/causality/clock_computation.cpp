@@ -1,25 +1,19 @@
 #include "causality/clock_computation.hpp"
 
 #include <cstddef>
-#include <cstring>
-#include <memory>
 #include <queue>
 
 #include "causality/edge_index.hpp"
-#include "parallel/dag_scheduler.hpp"
-#include "parallel/parallel.hpp"
 #include "util/check.hpp"
 
 namespace predctrl {
 
-namespace {
-
-// Serial engine: Kahn's algorithm, merges pushed to successors. All clock
-// rows live in the result's ClockMatrix slab; the cross-edge adjacency is a
-// CSR index (causality/edge_index.hpp), so the whole computation performs
-// O(1) allocations instead of one per state.
-ClockComputation compute_state_clocks_serial(const std::vector<int32_t>& lengths,
-                                             std::span<const CausalEdge> edges) {
+// Kahn's algorithm, merges pushed to successors. All clock rows live in the
+// result's ClockMatrix slab; the cross-edge adjacency is a CSR index
+// (causality/edge_index.hpp), so the whole computation performs O(1)
+// allocations instead of one per state.
+ClockComputation compute_state_clocks(const std::vector<int32_t>& lengths,
+                                      std::span<const CausalEdge> edges) {
   const int32_t n = static_cast<int32_t>(lengths.size());
   for (int32_t len : lengths) PREDCTRL_CHECK(len >= 1, "process with no states");
 
@@ -68,175 +62,6 @@ ClockComputation compute_state_clocks_serial(const std::vector<int32_t>& lengths
   result.acyclic = (processed == total);
   if (!result.acyclic) result.clocks.clear();
   return result;
-}
-
-// Parallel engine: split every process chain into segments at cross-edge
-// targets, then submit the segment DAG through the execution-engine seam
-// (parallel/dag_scheduler.hpp). Each cross edge targets a segment's *first*
-// state, so "segment X depends on segment Y" (Y holds a source state, or Y
-// is X's chain predecessor) is exactly the state-level precedence coarsened
-// to segments -- acyclicity is preserved in both directions.
-//
-// The two engines get different bodies because their memory disciplines
-// differ:
-//
-//   * conservative: each segment pull-merges straight into the result slab
-//     -- every dependency has completed, so reads never race with writes,
-//     and staging would be a pure copy tax;
-//   * optimistic: a segment may run before its dependencies resolve, so it
-//     computes into a fresh block of its worker's StagedClockArena from
-//     whatever dependency blocks are published (an unpublished dependency
-//     contributes nothing -- the all-kNone seed), and the block is promoted
-//     into the slab only at commit, in virtual-time order against final
-//     inputs. Rolled-back blocks are simply abandoned in the arena.
-ClockComputation compute_state_clocks_parallel(const std::vector<int32_t>& lengths,
-                                               std::span<const CausalEdge> edges,
-                                               parallel::ThreadPool& pool) {
-  const int32_t n = static_cast<int32_t>(lengths.size());
-  for (int32_t len : lengths) PREDCTRL_CHECK(len >= 1, "process with no states");
-
-  const CsrEdgeIndex csr(lengths, edges);  // validates every edge
-
-  ClockComputation result;
-  result.clocks = ClockMatrix(lengths);
-  ClockMatrix& clocks = result.clocks;
-  const size_t total = static_cast<size_t>(clocks.total_states());
-
-  // Segment construction: a new segment begins at index 0 and at every
-  // cross-edge target. seg_of maps a flat state index to its segment.
-  struct Segment {
-    ProcessId process;
-    int32_t begin;  // first state index (inclusive)
-    int32_t end;    // last state index (exclusive)
-  };
-  std::vector<Segment> segments;
-  std::vector<int32_t> seg_of(total);
-  for (ProcessId p = 0; p < n; ++p) {
-    const int32_t len = lengths[static_cast<size_t>(p)];
-    for (int32_t k = 0; k < len; ++k) {
-      if (k == 0 || !csr.in_of_state({p, k}).empty())
-        segments.push_back({p, k, k + 1});
-      else
-        ++segments.back().end;
-      seg_of[clocks.flat_index({p, k})] = static_cast<int32_t>(segments.size()) - 1;
-    }
-  }
-  const int32_t num_segments = static_cast<int32_t>(segments.size());
-
-  // The segment DAG. Edge insertion order fixes the deps order the
-  // optimistic body consumes: the chain predecessor first (iff the segment
-  // is not its process's first), then the cross edges into the segment's
-  // first state in CSR order -- all cross edges target first states by
-  // construction.
-  parallel::DagScheduler dag(num_segments);
-  for (int32_t s = 0; s + 1 < num_segments; ++s)
-    if (segments[static_cast<size_t>(s)].process ==
-        segments[static_cast<size_t>(s) + 1].process)
-      dag.add_edge(s, s + 1);
-  for (int32_t t = 0; t < num_segments; ++t) {
-    const Segment& seg = segments[static_cast<size_t>(t)];
-    for (const CausalEdge& e : csr.in_of_state({seg.process, seg.begin}))
-      dag.add_edge(seg_of[clocks.flat_index(e.from)], t);
-  }
-
-  parallel::DagRunStats stats;
-  if (parallel::engine() == parallel::Engine::kOptimistic) {
-    // Worker-local staged arenas; lane 0 belongs to the coordinator (the
-    // final horizon drain re-executes stragglers on the waiting thread).
-    // The alignas padding keeps one worker's bump pointer off its
-    // neighbors' cache lines.
-    struct alignas(64) ArenaLane {
-      StagedClockArena arena;
-    };
-    std::vector<ArenaLane> arenas(static_cast<size_t>(pool.size()) + 1);
-    for (ArenaLane& lane : arenas) lane.arena = StagedClockArena(n);
-
-    const parallel::DagScheduler::Body stage_segment =
-        [&](int32_t s, std::span<const parallel::DagScheduler::Payload> deps)
-        -> parallel::DagScheduler::Payload {
-      const Segment& seg = segments[static_cast<size_t>(s)];
-      StagedClockArena& arena =
-          arenas[static_cast<size_t>(parallel::worker_index() + 1)].arena;
-      int32_t* staged = arena.stage_rows(seg.end - seg.begin);
-      size_t d = 0;  // cursor over deps, in add_edge order (see above)
-      if (seg.begin > 0) {
-        // Chain predecessor (segment s - 1): its block's last row seeds
-        // this segment's first. Unpublished means "nothing received yet".
-        const auto* pred_block = static_cast<const int32_t*>(deps[d++]);
-        if (pred_block != nullptr) {
-          const Segment& pred = segments[static_cast<size_t>(s) - 1];
-          clock_row_merge(staged, pred_block + (pred.end - pred.begin - 1) * n, n);
-        }
-      }
-      for (const CausalEdge& e : csr.in_of_state({seg.process, seg.begin})) {
-        const auto* src_block = static_cast<const int32_t*>(deps[d++]);
-        if (src_block != nullptr) {
-          const Segment& src =
-              segments[static_cast<size_t>(seg_of[clocks.flat_index(e.from)])];
-          clock_row_merge(staged, src_block + (e.from.index - src.begin) * n, n);
-        }
-      }
-      staged[seg.process] = seg.begin;
-      // Interior states have no in-edges (segments split at cross-edge
-      // targets): each row is its predecessor row plus the own component.
-      for (int32_t k = seg.begin + 1; k < seg.end; ++k) {
-        int32_t* row = staged + static_cast<size_t>(k - seg.begin) * static_cast<size_t>(n);
-        clock_row_merge(row, row - n, n);
-        row[seg.process] = k;
-      }
-      return staged;
-    };
-    const parallel::DagScheduler::Commit promote =
-        [&](int32_t s, parallel::DagScheduler::Payload payload) {
-      const Segment& seg = segments[static_cast<size_t>(s)];
-      std::memcpy(clocks.mutable_row({seg.process, seg.begin}), payload,
-                  static_cast<size_t>(seg.end - seg.begin) * static_cast<size_t>(n) *
-                      sizeof(int32_t));
-    };
-    stats = dag.run(&pool, parallel::Engine::kOptimistic, stage_segment, promote);
-  } else {
-    const parallel::DagScheduler::Body process_segment =
-        [&](int32_t s, std::span<const parallel::DagScheduler::Payload>)
-        -> parallel::DagScheduler::Payload {
-      // Pull-merge each state from its chain predecessor and its cross-edge
-      // sources, straight into the slab: every dependency segment completed
-      // before this one was released, so reads never race with writes.
-      const Segment& seg = segments[static_cast<size_t>(s)];
-      for (int32_t k = seg.begin; k < seg.end; ++k) {
-        int32_t* row = clocks.mutable_row({seg.process, k});
-        if (k > 0) clock_row_merge(row, clocks.row_data({seg.process, k - 1}), n);
-        for (const CausalEdge& e : csr.in_of_state({seg.process, k}))
-          clock_row_merge(row, clocks.row_data(e.from), n);
-        row[seg.process] = k;
-      }
-      return nullptr;
-    };
-    stats = dag.run(&pool, parallel::Engine::kConservative, process_segment);
-  }
-
-  // A cycle stops either engine short of num_segments commits -- same
-  // verdict as the serial engine's Kahn check.
-  result.sched = stats;
-  result.acyclic = stats.complete;
-  if (!result.acyclic) result.clocks.clear();
-  return result;
-}
-
-}  // namespace
-
-ClockComputation compute_state_clocks(const std::vector<int32_t>& lengths,
-                                      std::span<const CausalEdge> edges) {
-  return compute_state_clocks(lengths, edges, parallel::shared_pool());
-}
-
-ClockComputation compute_state_clocks(const std::vector<int32_t>& lengths,
-                                      std::span<const CausalEdge> edges,
-                                      parallel::ThreadPool* pool) {
-  int64_t total = 0;
-  for (int32_t len : lengths) total += len;
-  if (pool == nullptr || lengths.size() < 2 || total < parallel::min_parallel_items())
-    return compute_state_clocks_serial(lengths, edges);
-  return compute_state_clocks_parallel(lengths, edges, *pool);
 }
 
 bool event_order_acyclic(const std::vector<int32_t>& lengths,

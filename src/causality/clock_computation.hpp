@@ -5,24 +5,8 @@
 // "interferes" with happened-before, in the paper's terms) is reported
 // rather than silently mis-clocked.
 //
-// Two engines produce the same clocks (vector clocks are the unique least
-// fixpoint of the merge equations, so any correct schedule yields identical
-// values -- tests/test_parallel.cpp cross-checks byte equality):
-//
-//   * serial: Kahn's algorithm over the state graph, pushing merges to
-//     successors as states complete;
-//   * parallel: the chains are split into *segments* at every cross-edge
-//     target and the segment DAG is submitted through the execution-engine
-//     seam (parallel/dag_scheduler.hpp), under whichever engine
-//     parallel::engine() selects. The conservative engine has each segment
-//     pull merges from completed predecessors straight into the slab; the
-//     optimistic engine computes segments speculatively into worker-local
-//     staged arenas (causality/clock_matrix.hpp StagedClockArena) and
-//     promotes blocks into the slab at commit, in virtual-time order.
-//     Segment-level acyclicity is equivalent to state-level acyclicity
-//     (every cross edge targets a segment's first state, and a segment's
-//     first state precedes all of its states), so the cyclicity verdict is
-//     identical under every engine.
+// The computation is Kahn's algorithm over the state graph, pushing merges
+// to successors as states complete.
 #pragma once
 
 #include <cstdint>
@@ -33,13 +17,8 @@
 #include "causality/clock_matrix.hpp"
 #include "causality/ids.hpp"
 #include "causality/vector_clock.hpp"
-#include "parallel/dag_scheduler.hpp"
 
 namespace predctrl {
-
-namespace parallel {
-class ThreadPool;
-}
 
 /// A directed causal edge between states of different processes:
 /// from ~> to ("from finishes before to starts").
@@ -61,16 +40,9 @@ struct ClockComputation {
   bool acyclic = false;
 
   /// clocks[p][k] is the clock row of state (p, k) -- one contiguous slab,
-  /// see causality/clock_matrix.hpp. Present iff acyclic. Both engines
-  /// write rows of this matrix in place; no per-state allocation happens.
+  /// see causality/clock_matrix.hpp. Present iff acyclic. Rows are written
+  /// in place; no per-state allocation happens.
   ClockMatrix clocks;
-
-  /// Scheduler accounting of the parallel run (all zero when the serial
-  /// engine ran): speculation and rollback counts under the optimistic
-  /// engine, plain execution counts under the conservative one. Benches
-  /// read this to report speculative_events / rollbacks / gvt_lag; the
-  /// numbers are timing-dependent, the clocks never are.
-  parallel::DagRunStats sched;
 };
 
 /// Computes the clock of every state under the transitive closure of
@@ -79,30 +51,16 @@ struct ClockComputation {
 ///
 /// `lengths[p]` is the number of local states of process p (>= 1). Edge
 /// endpoints must be in range and cross-process. Runs in O(n * S + n * E)
-/// for n processes, S total states, E edges; work is sharded across the
-/// shared thread pool (parallel/parallel.hpp) when one is configured and
-/// the graph is large enough. `edges` is a view (vectors convert
-/// implicitly; Deposet::messages() passes through without a copy).
+/// for n processes, S total states, E edges. `edges` is a view (vectors
+/// convert implicitly; Deposet::messages() passes through without a copy).
 ClockComputation compute_state_clocks(const std::vector<int32_t>& lengths,
                                       std::span<const CausalEdge> edges);
-
-/// As above with an explicit pool (nullptr forces the serial engine);
-/// the two-argument overload forwards parallel::shared_pool().
-ClockComputation compute_state_clocks(const std::vector<int32_t>& lengths,
-                                      std::span<const CausalEdge> edges,
-                                      parallel::ThreadPool* pool);
 
 /// Braced-list conveniences (std::span cannot bind an initializer list):
 /// compute_state_clocks({3, 2}, {{{0, 0}, {1, 1}}}).
 inline ClockComputation compute_state_clocks(const std::vector<int32_t>& lengths,
                                              std::initializer_list<CausalEdge> edges) {
   return compute_state_clocks(lengths, std::span<const CausalEdge>(edges.begin(), edges.size()));
-}
-inline ClockComputation compute_state_clocks(const std::vector<int32_t>& lengths,
-                                             std::initializer_list<CausalEdge> edges,
-                                             parallel::ThreadPool* pool) {
-  return compute_state_clocks(
-      lengths, std::span<const CausalEdge>(edges.begin(), edges.size()), pool);
 }
 
 /// Event-level acyclicity (executability) check.

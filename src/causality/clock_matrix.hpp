@@ -253,18 +253,17 @@ class ClockMatrix {
 
 /// Component-wise max of `src` into `dst` (the clock-lattice join on raw
 /// rows); the merge kernel of clock computation, shared by the offline
-/// engines (serial Kahn, segment-DAG parallel) and the online append path.
+/// Kahn pass and the online append path.
 inline void clock_row_merge(int32_t* dst, const int32_t* src, int32_t width) {
   for (int32_t i = 0; i < width; ++i)
     if (src[i] > dst[i]) dst[i] = src[i];
 }
 
 /// 64-byte-aligned int32 buffer for chunked row arenas: aligning every chunk
-/// to a cache-line boundary keeps per-worker (and per-process) arenas from
-/// false-sharing a line across an allocation boundary. NOTE: unlike
-/// std::make_unique<int32_t[]>, the raw aligned allocation is NOT
-/// zero-initialized -- every consumer below fully writes a row before any
-/// read of it.
+/// to a cache-line boundary keeps rows from straddling a line across an
+/// allocation boundary. NOTE: unlike std::make_unique<int32_t[]>, the raw
+/// aligned allocation is NOT zero-initialized -- every consumer below fully
+/// writes a row before any read of it.
 struct AlignedIntDelete {
   void operator()(int32_t* p) const noexcept {
     ::operator delete[](static_cast<void*>(p), std::align_val_t{64});
@@ -275,78 +274,6 @@ inline AlignedIntBuffer aligned_int_buffer(size_t ints) {
   return AlignedIntBuffer(static_cast<int32_t*>(
       ::operator new[](ints * sizeof(int32_t), std::align_val_t{64})));
 }
-
-/// Worker-local staging arena for speculative clock rows -- the optimistic
-/// engine's rollback-aware memory (parallel/dag_scheduler.hpp).
-///
-/// stage_rows(count) hands out a FRESH kNone-filled block of `count` rows;
-/// the worker fills it and publishes the block pointer as its payload.
-/// Promotion into the canonical ClockMatrix happens at commit (one memcpy
-/// of the block); a rollback simply abandons the block. Nothing is freed
-/// until the arena dies, so a superseded speculative block stays readable
-/// while concurrent stragglers may still be consuming it -- the same
-/// no-reclamation-before-quiescence rule the scheduler's published records
-/// follow.
-///
-/// Arenas are strictly worker-local (indexed by parallel::worker_index()):
-/// chunks are allocated -- hence first-touched -- on the owning worker's
-/// thread, so on a NUMA machine speculative rows land in that worker's
-/// local node, and the 64-byte chunk alignment keeps neighboring workers'
-/// arenas off each other's cache lines.
-class StagedClockArena {
- public:
-  StagedClockArena() = default;
-  explicit StagedClockArena(int32_t width) : width_(width) {
-    PREDCTRL_CHECK(width >= 1, "staged clock arena needs a positive width");
-  }
-
-  StagedClockArena(StagedClockArena&&) = default;
-  StagedClockArena& operator=(StagedClockArena&&) = default;
-  StagedClockArena(const StagedClockArena&) = delete;
-  StagedClockArena& operator=(const StagedClockArena&) = delete;
-
-  int32_t width() const { return width_; }
-  /// Rows handed out so far (committed + rolled back + in flight).
-  int64_t staged_rows() const { return staged_; }
-  /// Bytes currently reserved by the arena's chunks.
-  int64_t reserved_bytes() const {
-    return static_cast<int64_t>(reserved_ints_ * sizeof(int32_t));
-  }
-
-  /// A fresh block of `rows` rows (rows * width int32 components, rows
-  /// consecutive), every component VectorClock::kNone. The block is stable
-  /// for the arena's lifetime and never reused.
-  int32_t* stage_rows(int32_t rows) {
-    PREDCTRL_CHECK(rows >= 1, "staging zero clock rows");
-    const size_t ints = static_cast<size_t>(rows) * static_cast<size_t>(width_);
-    if (ints > left_) grow(ints);
-    int32_t* block = cur_;
-    cur_ += ints;
-    left_ -= ints;
-    std::fill(block, block + ints, VectorClock::kNone);
-    staged_ += rows;
-    return block;
-  }
-
- private:
-  /// New chunks amortize allocation without over-reserving tiny runs.
-  static constexpr size_t kMinChunkInts = size_t{1} << 14;  // 64 KiB
-
-  void grow(size_t ints) {
-    const size_t chunk_ints = std::max(ints, kMinChunkInts);
-    chunks_.push_back(aligned_int_buffer(chunk_ints));
-    cur_ = chunks_.back().get();
-    left_ = chunk_ints;
-    reserved_ints_ += chunk_ints;
-  }
-
-  int32_t width_ = 0;
-  std::vector<AlignedIntBuffer> chunks_;
-  int32_t* cur_ = nullptr;  // bump pointer into the newest chunk
-  size_t left_ = 0;         // ints remaining in the newest chunk
-  size_t reserved_ints_ = 0;
-  int64_t staged_ = 0;
-};
 
 /// Appendable causal-knowledge slab for computations that grow state by
 /// state: the online half of the memory-layout migration.

@@ -4,7 +4,6 @@
 #include <bit>
 
 #include "obs/obs.hpp"
-#include "parallel/parallel.hpp"
 #include "util/check.hpp"
 
 namespace predctrl {
@@ -180,31 +179,14 @@ class Walker {
 
 // Shared algorithm driver; the ValidPairs strategy is factored out via a
 // callable returning the chosen pair <keeper, crossed> or nullopt.
-//
-// Parallelism: crossable() probes dominate the cost, and within one
-// iteration they are independent (the Walker is only mutated between
-// probe rounds, by the coordinating thread). With a shared pool and
-// enough processes the probe loops -- the initial matrix fill, each
-// refresh_row_and_column, and the naive ValidPairs sweep -- shard the
-// peer index across workers. Determinism: each matrix cell is a pure
-// function of the Walker state and is written by exactly one worker;
-// candidate lists are concatenated in chunk order (== the serial scan
-// order, so SelectPolicy::kRandom draws identically); pair_checks is
-// the exact number of crossable() probes, accumulated per chunk and
-// summed -- byte-identical results at any thread count.
 class Algorithm {
  public:
   Algorithm(const Deposet& deposet, const PredicateTable& predicate,
             const OfflineControlOptions& options)
       : options_(options), rng_(options.seed),
         sets_(extract_false_intervals(predicate)), packed_(deposet, sets_),
-        walker_(deposet, sets_), pool_(parallel::shared_pool()) {
+        walker_(deposet, sets_) {
     const int32_t n = walker_.num_processes();
-    // Each probe round is O(n) crossable() calls per touched process; only
-    // worth sharding when a full O(n^2) sweep clears the global threshold.
-    sharded_ = pool_ != nullptr && n >= 2 &&
-               static_cast<int64_t>(n) * static_cast<int64_t>(n) >=
-                   parallel::min_parallel_items();
     if (options_.impl == ValidPairsImpl::kIncremental) {
       words_per_row_ = (static_cast<size_t>(n) + 63) / 64;
       cross_.assign(static_cast<size_t>(n) * words_per_row_, 0);
@@ -280,8 +262,7 @@ class Algorithm {
 
   // Bitset matrix cell accessors. Row i occupies words
   // cross_[i * words_per_row_ .. +words_per_row_), so distinct rows never
-  // share a word -- sharded column updates (each worker owns a disjoint
-  // range of rows j) are race-free without atomics.
+  // share a word.
   bool cross_get(ProcessId i, ProcessId j) const {
     return (cross_[static_cast<size_t>(i) * words_per_row_ +
                    static_cast<size_t>(j) / 64] >>
@@ -299,12 +280,11 @@ class Algorithm {
   }
 
   // Initial crossable matrix: every cell is computed exactly once (the
-  // matrix is a pure function of the initial Walker positions, so the fill
-  // parallelizes trivially by row). No pair_checks accounting here -- the
-  // serial constructor refreshed with a null result too.
+  // matrix is a pure function of the initial Walker positions). The
+  // probes pass a null result: construction adds nothing to pair_checks.
   void fill_initial_matrix() {
     const int32_t n = walker_.num_processes();
-    auto fill_row = [&](ProcessId i) {
+    for (ProcessId i = 0; i < n; ++i) {
       const bool i_valid = walker_.next_interval(i) != kNullInterval;
       int32_t count = 0;
       for (ProcessId j = 0; j < n; ++j) {
@@ -315,96 +295,28 @@ class Algorithm {
         if (rv) ++count;
       }
       row_count_[static_cast<size_t>(i)] = count;
-    };
-    if (!sharded_) {
-      for (ProcessId i = 0; i < n; ++i) fill_row(i);
-      return;
     }
-    parallel::parallel_for(pool_, n, [&](int64_t begin, int64_t end, size_t) {
-      for (int64_t i = begin; i < end; ++i) fill_row(static_cast<ProcessId>(i));
-    });
   }
 
   void refresh_row_and_column(ProcessId i, OfflineControlResult* result) {
-    refresh_row_and_column_impl(i, result);
-  }
-
-  void refresh_row_and_column_impl(ProcessId i, OfflineControlResult* result) {
     const int32_t n = walker_.num_processes();
     const bool i_valid = walker_.next_interval(i) != kNullInterval;
-    if (!sharded_) {
-      int32_t count = 0;
-      for (ProcessId j = 0; j < n; ++j) {
-        if (j == i) continue;
-        const bool j_valid = walker_.next_interval(j) != kNullInterval;
-        // Row i: crossable(N(i), N(j)).
-        bool rv = i_valid && j_valid && crossable_now(i, j, result);
-        cross_assign(i, j, rv);
-        if (rv) ++count;
-        // Column i: crossable(N(j), N(i)).
-        bool cv = i_valid && j_valid && crossable_now(j, i, result);
-        if (cross_get(j, i) != cv) {
-          row_count_[static_cast<size_t>(j)] += cv ? 1 : -1;
-          cross_assign(j, i, cv);
-        }
-      }
-      row_count_[static_cast<size_t>(i)] = count;
-      return;
-    }
-
-    // Sharded: each chunk owns a disjoint range of peers j. Column cells
-    // (j, i) and row_count_[j] live in per-row storage, so those writes
-    // never collide; ROW i's bits, however, share words across chunks, so
-    // each chunk collects its row bits in a private mask and the
-    // coordinator ORs the masks into row i afterwards. Chunk partials
-    // replicate the serial short-circuit accounting: a probe is counted
-    // iff both intervals exist, exactly when the serial path calls
-    // crossable_now.
-    struct Partial {
-      std::vector<uint64_t> row_mask;
-      int32_t row_count = 0;
-      int64_t checks = 0;
-    };
-    std::vector<Partial> partials(parallel::parallel_chunk_count(pool_, n));
-    for (Partial& part : partials) part.row_mask.assign(words_per_row_, 0);
-    parallel::parallel_for(pool_, n, [&](int64_t begin, int64_t end, size_t chunk) {
-      Partial& part = partials[chunk];
-      for (int64_t jj = begin; jj < end; ++jj) {
-        const auto j = static_cast<ProcessId>(jj);
-        if (j == i) continue;
-        const bool j_valid = walker_.next_interval(j) != kNullInterval;
-        bool rv = i_valid && j_valid;
-        if (rv) {
-          ++part.checks;
-          rv = crossable_now(i, j, nullptr);
-        }
-        if (rv) {
-          part.row_mask[static_cast<size_t>(j) / 64] |=
-              uint64_t{1} << (static_cast<size_t>(j) % 64);
-          ++part.row_count;
-        }
-        bool cv = i_valid && j_valid;
-        if (cv) {
-          ++part.checks;
-          cv = crossable_now(j, i, nullptr);
-        }
-        if (cross_get(j, i) != cv) {
-          row_count_[static_cast<size_t>(j)] += cv ? 1 : -1;
-          cross_assign(j, i, cv);
-        }
-      }
-    });
     int32_t count = 0;
-    int64_t checks = 0;
-    uint64_t* row = &cross_[static_cast<size_t>(i) * words_per_row_];
-    std::fill(row, row + words_per_row_, 0);
-    for (const Partial& part : partials) {
-      for (size_t w = 0; w < words_per_row_; ++w) row[w] |= part.row_mask[w];
-      count += part.row_count;
-      checks += part.checks;
+    for (ProcessId j = 0; j < n; ++j) {
+      if (j == i) continue;
+      const bool j_valid = walker_.next_interval(j) != kNullInterval;
+      // Row i: crossable(N(i), N(j)).
+      bool rv = i_valid && j_valid && crossable_now(i, j, result);
+      cross_assign(i, j, rv);
+      if (rv) ++count;
+      // Column i: crossable(N(j), N(i)).
+      bool cv = i_valid && j_valid && crossable_now(j, i, result);
+      if (cross_get(j, i) != cv) {
+        row_count_[static_cast<size_t>(j)] += cv ? 1 : -1;
+        cross_assign(j, i, cv);
+      }
     }
     row_count_[static_cast<size_t>(i)] = count;
-    if (result != nullptr) result->pair_checks += checks;
   }
 
   /// Returns the selected <keeper, crossee> or nullopt if ValidPairs is
@@ -416,44 +328,17 @@ class Algorithm {
     if (options_.impl == ValidPairsImpl::kNaive) {
       // The paper's naive variant recomputes the full ValidPairs set every
       // iteration (O(n^2) checks each time -> O(n^3 p) total).
-      if (sharded_) {
-        // Shard the keeper index; concatenating chunk candidate lists in
-        // chunk order reproduces the serial (i, j) scan order exactly.
-        struct Partial {
-          std::vector<std::pair<ProcessId, ProcessId>> candidates;
-          int64_t checks = 0;
-        };
-        std::vector<Partial> partials(parallel::parallel_chunk_count(pool_, n));
-        parallel::parallel_for(pool_, n, [&](int64_t begin, int64_t end, size_t chunk) {
-          Partial& part = partials[chunk];
-          for (int64_t ii = begin; ii < end; ++ii) {
-            const auto i = static_cast<ProcessId>(ii);
-            if (walker_.is_false(i)) continue;
-            for (ProcessId j = 0; j < n; ++j) {
-              if (i == j) continue;
-              ++part.checks;
-              if (crossable_now(i, j, nullptr)) part.candidates.emplace_back(i, j);
-            }
-          }
-        });
-        for (const Partial& part : partials) {
-          result.pair_checks += part.checks;
-          candidates.insert(candidates.end(), part.candidates.begin(),
-                            part.candidates.end());
-        }
-      } else {
-        for (ProcessId i = 0; i < n; ++i) {
-          if (walker_.is_false(i)) continue;
-          for (ProcessId j = 0; j < n; ++j) {
-            if (i == j) continue;
-            if (crossable_now(i, j, &result)) candidates.emplace_back(i, j);
-          }
+      for (ProcessId i = 0; i < n; ++i) {
+        if (walker_.is_false(i)) continue;
+        for (ProcessId j = 0; j < n; ++j) {
+          if (i == j) continue;
+          if (crossable_now(i, j, &result)) candidates.emplace_back(i, j);
         }
       }
     } else {
       // Incremental: rows are current; scan keepers, then their rows.
       // Set-bit iteration (lowest first) visits j in ascending order --
-      // the exact serial scan order, so kRandom draws identically -- and
+      // the naive scan order, so kRandom draws identically -- and
       // skips 64 absent pairs per zero word. The diagonal bit is never
       // set, so no i == j guard is needed.
       for (ProcessId i = 0; i < n; ++i) {
@@ -512,8 +397,6 @@ class Algorithm {
   FalseIntervalSets sets_;    // extraction output, shared by index and walker
   PackedIntervals packed_;    // slab-pointer interval index for the probes
   Walker walker_;
-  parallel::ThreadPool* pool_ = nullptr;  // shared pool, or null for serial
-  bool sharded_ = false;                  // probe loops go to the pool
 
   // Incremental ValidPairs state: the n x n crossable matrix packed into
   // 64-bit words, each row padded to whole words (words_per_row_), refreshed

@@ -9,7 +9,7 @@
 // crash/restart events at chosen virtual times.
 //
 // Determinism rules (the same absolute rule as the rest of the system:
-// same seed + same plan => byte-identical run at any --threads width):
+// same seed + same plan => byte-identical run):
 //
 //   * All fault randomness comes from one Rng seeded with FaultPlan::seed,
 //     owned by the FaultInjector -- never from the engine's Rng, so
@@ -18,9 +18,8 @@
 //   * Rate draws happen in a fixed per-message order (drop, duplicate,
 //     spike, reorder -- short-circuiting after drop), indexed by the
 //     deterministic send sequence of the simulation.
-//   * The simulator is single-threaded; --threads only parallelizes the
-//     offline analyses, so fault behavior is width-independent by
-//     construction.
+//   * The simulator is single-threaded, so no scheduling order can leak
+//     into fault behavior.
 #pragma once
 
 #include <cstdint>

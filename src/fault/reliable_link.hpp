@@ -35,11 +35,11 @@
 // the reorder window rather than the run length.
 //
 // Everything runs on virtual-time timers inside the deterministic
-// simulator: same seed + same fault plan => the same retransmit schedule,
-// at any --threads width. A disabled link (the default, and whenever no
-// active FaultPlan is installed) is pass-through: zero extra messages,
-// timers, or state -- fault-free runs stay byte-identical to builds that
-// predate the fault plane.
+// simulator: same seed + same fault plan => the same retransmit schedule.
+// A disabled link (the default, and whenever no active FaultPlan is
+// installed) is pass-through: zero extra messages, timers, or state --
+// fault-free runs stay byte-identical to builds that predate the fault
+// plane.
 #pragma once
 
 #include <cstdint>

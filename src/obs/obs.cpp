@@ -7,9 +7,9 @@
 namespace predctrl::obs {
 
 namespace {
-// Atomic so pool workers (parallel/thread_pool.hpp) may *read* the flag
-// data-race-free while a coordinator owns all registry writes; relaxed is
-// enough, the flag carries no release payload.
+// Atomic so any thread may *read* the flag data-race-free while one thread
+// owns all registry writes; relaxed is enough, the flag carries no release
+// payload.
 std::atomic<bool> g_enabled{false};
 }  // namespace
 

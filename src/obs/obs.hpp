@@ -37,10 +37,8 @@
 namespace predctrl::obs {
 
 /// Runtime recording switch (metrics + trace events). The flag itself is
-/// atomic so pool workers (parallel/thread_pool.hpp) may read it without a
-/// data race; the registries stay single-writer -- workers never record,
-/// coordinators record on their behalf after join points (see
-/// parallel/parallel.cpp's per-worker accounting).
+/// atomic so any thread may read it without a data race; the registries
+/// stay single-writer -- only the thread that drives a run records.
 bool enabled();
 void set_enabled(bool on);
 

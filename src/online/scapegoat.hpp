@@ -71,7 +71,7 @@ struct ScapegoatOptions {
   /// Control-plane reliability (ack + retransmit). Disabled by default;
   /// run_scripts_guarded / the mutex runners enable it iff an active
   /// FaultPlan is installed, so fault-free runs carry zero extra traffic.
-  fault::ReliableLinkOptions link;
+  fault::ReliableLinkOptions link{};
 };
 
 /// One per-request measurement: the delay between the process asking to go

@@ -1,121 +1,17 @@
-// Parallel execution configuration and the deterministic fork-join
-// primitives (parallel_for / parallel_reduce) built on ThreadPool.
-//
-// One process-wide knob selects the engine's width:
-//
-//   parallel::set_thread_count(N)   N <= 1: every hot path takes its
-//                                   original serial code path (the N=1
-//                                   special case is *the* serial code, so
-//                                   outputs are trivially bit-identical);
-//                                   N >= 2: shared_pool() returns a pool of
-//                                   N workers and the hot paths shard.
-//
-// `predctl_tool --threads=N` and the bench harness's `--threads=N` both set
-// this. The default is 1: the library stays serial unless asked.
-//
-// Determinism contract: parallel_for splits [0, n) into fixed chunks
-// (boundaries depend only on n and the chunk count, never on timing), and
-// parallel_reduce combines per-chunk results in chunk-index order. Every
-// algorithm in the library that shards through these produces byte-identical
-// output at any thread count (tests/test_parallel.cpp).
-//
-// Work below `min_parallel_items()` stays serial even when a pool exists --
-// the fork-join overhead would dominate. Tests lower the threshold to force
-// the parallel paths onto small instances.
+// The execution configuration that pipebench/bench_pipeline.cpp prints on
+// its config line ("threads":1,"engine":"conservative"). The library has
+// one serial path for every algorithm; this header exists only for that
+// line and goes away with the next change to the benchmark.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <optional>
-#include <string>
-#include <string_view>
-#include <vector>
-
-#include "parallel/thread_pool.hpp"
 
 namespace predctrl::parallel {
 
-/// Which execution engine DAG-shaped work runs on (parallel/dag_scheduler.hpp):
-///
-///   kConservative  dependency-driven chain-collapsing scheduler: a node
-///                  runs only after every dependency completed. No wasted
-///                  work, but workers idle whenever the released frontier
-///                  is narrower than the pool.
-///   kOptimistic    Time-Warp-style speculation: workers claim nodes in
-///                  virtual-time order and execute them even when
-///                  dependencies are unresolved, reading whatever inputs
-///                  are published; stale reads are detected by record
-///                  stamps and rolled back (re-executed) at the commit
-///                  horizon, which advances strictly in virtual-time order
-///                  -- so committed output is byte-identical to serial.
-///
-/// Both engines honor the library-wide determinism contract; the knob
-/// trades scheduling overhead (conservative) against speculation waste
-/// (optimistic). Default kConservative; the PREDCTRL_ENGINE environment
-/// variable ("conservative"|"optimistic") overrides the default at process
-/// start, and --engine= on predctl_tool and every bench overrides both.
-enum class Engine : int32_t { kConservative = 0, kOptimistic = 1 };
+enum class Engine : int32_t { kConservative };
 
-/// Selected engine for DAG-shaped work. Initialized from PREDCTRL_ENGINE
-/// when set (a bad value is ignored), else kConservative.
-Engine engine();
-
-/// Sets the engine. Same thread-safety rule as set_thread_count: call from
-/// the coordinator only, never while parallel work is in flight.
-void set_engine(Engine e);
-
-/// Stable lowercase name ("conservative"/"optimistic") -- the BENCH_*.json
-/// root "engine" field and flag values.
-const char* engine_name(Engine e);
-
-/// Parses an engine name; nullopt on anything unknown.
-std::optional<Engine> parse_engine(std::string_view name);
-
-/// Configured engine width. 1 = serial (default).
-int32_t thread_count();
-
-/// Sets the engine width and (re)builds the shared pool. Not thread-safe:
-/// call from the coordinator thread only, never while parallel work is in
-/// flight (tools set it once at startup; tests between cases).
-void set_thread_count(int32_t n);
-
-/// The shared worker pool, or nullptr when thread_count() <= 1. Hot paths
-/// branch on this: nullptr selects the original serial code.
-ThreadPool* shared_pool();
-
-/// Minimum number of work items (states, pairs, combinations) before a hot
-/// path bothers sharding. Deterministic: depends only on configuration.
-int64_t min_parallel_items();
-void set_min_parallel_items(int64_t items);
-
-/// Runs fn(begin, end, chunk_index) over [0, n) split into contiguous
-/// chunks, one task per chunk, and blocks until all complete. Chunk
-/// boundaries are a pure function of (n, pool->size()). Exceptions thrown
-/// by any chunk propagate to the caller (first one wins). When pool is
-/// nullptr or n is small, runs fn(0, n, 0) inline.
-void parallel_for(ThreadPool* pool, int64_t n,
-                  const std::function<void(int64_t, int64_t, size_t)>& fn);
-
-/// Number of chunks parallel_for will use for n items on this pool --
-/// callers that pre-size per-chunk accumulator slots use this.
-size_t parallel_chunk_count(ThreadPool* pool, int64_t n);
-
-/// Map-reduce over [0, n): `map(begin, end, chunk_index)` produces one T per
-/// chunk; `combine` folds them left-to-right in chunk-index order, starting
-/// from `init` -- so the reduction tree (and any non-associative effect
-/// ordering) is deterministic.
-template <typename T>
-T parallel_reduce(ThreadPool* pool, int64_t n, T init,
-                  const std::function<T(int64_t, int64_t, size_t)>& map,
-                  const std::function<T(T, T)>& combine) {
-  const size_t chunks = parallel_chunk_count(pool, n);
-  std::vector<T> partial(chunks);
-  parallel_for(pool, n, [&](int64_t begin, int64_t end, size_t chunk) {
-    partial[chunk] = map(begin, end, chunk);
-  });
-  T acc = std::move(init);
-  for (size_t c = 0; c < chunks; ++c) acc = combine(std::move(acc), std::move(partial[c]));
-  return acc;
-}
+constexpr int32_t thread_count() { return 1; }
+constexpr Engine engine() { return Engine::kConservative; }
+constexpr const char* engine_name(Engine) { return "conservative"; }
 
 }  // namespace predctrl::parallel

@@ -1,16 +1,10 @@
 #include "predicates/detection.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <deque>
-#include <memory>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 
-#include "parallel/dag_scheduler.hpp"
-#include "parallel/parallel.hpp"
-#include "parallel/spsc_queue.hpp"
 #include "trace/lattice.hpp"
 #include "util/check.hpp"
 
@@ -25,9 +19,17 @@ int32_t next_satisfying(const std::vector<bool>& row, int32_t from) {
   return -1;
 }
 
-ConjunctiveDetection detect_weak_conjunctive_serial(const Deposet& deposet,
-                                                    const PredicateTable& conditions) {
+}  // namespace
+
+ConjunctiveDetection detect_weak_conjunctive(const Deposet& deposet,
+                                             const PredicateTable& conditions) {
   const int32_t n = deposet.num_processes();
+  PREDCTRL_CHECK(static_cast<int32_t>(conditions.size()) == n,
+                 "conditions do not match deposet");
+  for (ProcessId p = 0; p < n; ++p)
+    PREDCTRL_CHECK(static_cast<int32_t>(conditions[static_cast<size_t>(p)].size()) ==
+                       deposet.length(p),
+                   "condition row does not match process length");
 
   // Candidate cut: per process, the earliest state satisfying its condition.
   // Invariant: every satisfying consistent cut is component-wise >= cand.
@@ -63,167 +65,6 @@ ConjunctiveDetection detect_weak_conjunctive_serial(const Deposet& deposet,
   PREDCTRL_REQUIRE(is_consistent(deposet, result.first_cut),
                    "weak-conjunctive candidate not consistent");
   return result;
-}
-
-// Parallel engine: per-process scan workers stream candidate tokens (the
-// satisfying state indices, in order) through lock-free SPSC queues to the
-// coordinating consumer, which runs the same candidate-advance elimination
-// as the serial engine -- the mirror of the *online* WcpDetector
-// (online/wcp_detector.cpp), where application processes stream candidates
-// over the simulated control plane. The least satisfying cut is unique
-// (the satisfying cuts of a conjunction are meet-closed), so the verdict is
-// byte-identical to the serial engine's at any thread count.
-
-// A token from a scan worker: state `index` of `process` satisfies its
-// condition. index == kRowDone closes the process's stream.
-struct ScanToken {
-  int32_t process = 0;
-  int32_t index = 0;
-};
-constexpr int32_t kRowDone = -1;
-
-ConjunctiveDetection detect_weak_conjunctive_parallel(const Deposet& deposet,
-                                                      const PredicateTable& conditions,
-                                                      parallel::ThreadPool& pool) {
-  const int32_t n = deposet.num_processes();
-  const size_t num_workers =
-      static_cast<size_t>(std::min<int32_t>(pool.size(), n));
-
-  // One queue per scan worker (single producer), drained by this thread
-  // (single consumer). Workers abandon their scan when `cancel` rises --
-  // the coordinator concludes as soon as the verdict is known, which may be
-  // long before the scans finish.
-  using TokenQueue = parallel::SpscQueue<ScanToken, 1024>;
-  std::vector<std::unique_ptr<TokenQueue>> queues;
-  for (size_t w = 0; w < num_workers; ++w) queues.push_back(std::make_unique<TokenQueue>());
-  std::atomic<bool> cancel{false};
-
-  // The scan shards are an edge-free DAG launched (not run: the coordinator
-  // must drain the queues while the scans stream) through the engine seam.
-  // Tokens arrive per-process in index order whichever engine claims the
-  // shards, and elimination below consumes them per-process, so the verdict
-  // stays engine- and width-invariant.
-  parallel::DagScheduler dag(static_cast<int32_t>(num_workers));
-  const parallel::DagScheduler::Body scan_shard =
-      [&](int32_t worker, std::span<const parallel::DagScheduler::Payload>)
-      -> parallel::DagScheduler::Payload {
-    const size_t w = static_cast<size_t>(worker);
-    TokenQueue& queue = *queues[w];
-    auto push = [&](ScanToken token) {
-      while (!queue.try_push(token)) {
-        if (cancel.load(std::memory_order_relaxed)) return false;
-        std::this_thread::yield();
-      }
-      return true;
-    };
-    // Contiguous process shard of worker w.
-    const int32_t lo = static_cast<int32_t>(w * static_cast<size_t>(n) / num_workers);
-    const int32_t hi = static_cast<int32_t>((w + 1) * static_cast<size_t>(n) / num_workers);
-    for (int32_t p = lo; p < hi; ++p) {
-      const auto& row = conditions[static_cast<size_t>(p)];
-      for (size_t k = 0; k < row.size(); ++k)
-        if (row[k] && !push({p, static_cast<int32_t>(k)})) return nullptr;
-      if (!push({p, kRowDone})) return nullptr;
-    }
-    return nullptr;
-  };
-  parallel::DagScheduler::Launch scan = dag.launch(&pool, scan_shard);
-
-  // Conclude: stop the scans and join the workers. Any worker blocked on a
-  // full queue observes `cancel` and bails, so this cannot deadlock.
-  auto conclude = [&] {
-    cancel.store(true, std::memory_order_relaxed);
-    scan.wait();
-  };
-
-  std::vector<std::deque<int32_t>> received(static_cast<size_t>(n));
-  std::vector<char> row_done(static_cast<size_t>(n), 0);
-  auto drain = [&] {
-    for (size_t w = 0; w < num_workers; ++w) {
-      ScanToken token;
-      while (queues[w]->try_pop(token)) {
-        if (token.index == kRowDone)
-          row_done[static_cast<size_t>(token.process)] = 1;
-        else
-          received[static_cast<size_t>(token.process)].push_back(token.index);
-      }
-    }
-  };
-  // The streaming analogue of next_satisfying(): blocks (draining queues)
-  // until process p's next satisfying index >= from arrives, or its stream
-  // closes without one.
-  auto next_from_stream = [&](ProcessId p, int32_t from) -> int32_t {
-    auto& pending = received[static_cast<size_t>(p)];
-    while (true) {
-      while (!pending.empty() && pending.front() < from) pending.pop_front();
-      if (!pending.empty()) return pending.front();
-      if (row_done[static_cast<size_t>(p)]) return -1;
-      drain();
-      if (pending.empty() && !row_done[static_cast<size_t>(p)]) std::this_thread::yield();
-    }
-  };
-
-  std::vector<int32_t> cand(static_cast<size_t>(n));
-  for (ProcessId p = 0; p < n; ++p) {
-    cand[static_cast<size_t>(p)] = next_from_stream(p, 0);
-    if (cand[static_cast<size_t>(p)] < 0) {
-      conclude();
-      return {};
-    }
-  }
-
-  // Candidate-advance elimination, exactly as the serial engine.
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (ProcessId i = 0; i < n && !changed; ++i) {
-      StateId si{i, cand[static_cast<size_t>(i)]};
-      for (ProcessId j = 0; j < n; ++j) {
-        if (i == j) continue;
-        StateId sj{j, cand[static_cast<size_t>(j)]};
-        if (!deposet.precedes_eq(si, sj)) continue;
-        int32_t next = next_from_stream(i, si.index + 1);
-        if (next < 0) {
-          conclude();
-          return {};
-        }
-        cand[static_cast<size_t>(i)] = next;
-        changed = true;
-        break;
-      }
-    }
-  }
-  conclude();
-
-  ConjunctiveDetection result;
-  result.detected = true;
-  result.first_cut = Cut(cand);
-  PREDCTRL_REQUIRE(is_consistent(deposet, result.first_cut),
-                   "weak-conjunctive candidate not consistent");
-  return result;
-}
-
-}  // namespace
-
-ConjunctiveDetection detect_weak_conjunctive(const Deposet& deposet,
-                                             const PredicateTable& conditions) {
-  return detect_weak_conjunctive(deposet, conditions, parallel::shared_pool());
-}
-
-ConjunctiveDetection detect_weak_conjunctive(const Deposet& deposet,
-                                             const PredicateTable& conditions,
-                                             parallel::ThreadPool* pool) {
-  const int32_t n = deposet.num_processes();
-  PREDCTRL_CHECK(static_cast<int32_t>(conditions.size()) == n,
-                 "conditions do not match deposet");
-  for (ProcessId p = 0; p < n; ++p)
-    PREDCTRL_CHECK(static_cast<int32_t>(conditions[static_cast<size_t>(p)].size()) ==
-                       deposet.length(p),
-                   "condition row does not match process length");
-
-  if (pool == nullptr || n < 2 || deposet.total_states() < parallel::min_parallel_items())
-    return detect_weak_conjunctive_serial(deposet, conditions);
-  return detect_weak_conjunctive_parallel(deposet, conditions, *pool);
 }
 
 std::vector<Cut> all_conjunctive_cuts(const Deposet& deposet,

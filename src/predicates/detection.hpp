@@ -27,10 +27,6 @@
 
 namespace predctrl {
 
-namespace parallel {
-class ThreadPool;
-}
-
 /// Result of weak-conjunctive detection.
 struct ConjunctiveDetection {
   bool detected = false;
@@ -45,19 +41,8 @@ struct ConjunctiveDetection {
 /// Returns the least satisfying cut (the lattice of satisfying consistent
 /// cuts of a conjunctive predicate is closed under meet, so a unique least
 /// cut exists when any does).
-///
-/// With a shared thread pool configured (parallel/parallel.hpp) and a large
-/// enough trace, per-process scan workers stream candidate states through
-/// lock-free SPSC token queues to the coordinating elimination loop. The
-/// least cut is unique, so the result is identical at any thread count.
 ConjunctiveDetection detect_weak_conjunctive(const Deposet& deposet,
                                              const PredicateTable& conditions);
-
-/// As above with an explicit pool (nullptr forces the serial engine); the
-/// two-argument overload forwards parallel::shared_pool().
-ConjunctiveDetection detect_weak_conjunctive(const Deposet& deposet,
-                                             const PredicateTable& conditions,
-                                             parallel::ThreadPool* pool);
 
 /// Enumerates every consistent cut satisfying the conjunction, in BFS order.
 /// Exhaustive; small instances only (tests, the Section 7 walkthrough where

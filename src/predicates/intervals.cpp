@@ -1,17 +1,14 @@
 #include "predicates/intervals.hpp"
 
 #include <algorithm>
-#include <atomic>
 
-#include "parallel/parallel.hpp"
 #include "util/check.hpp"
 
 namespace predctrl {
 
 namespace {
 
-// Scans one predicate row into its maximal false intervals. Both engines
-// (serial loop, per-process shards on the pool) run exactly this.
+// Scans one predicate row into its maximal false intervals.
 void scan_row(const PredicateTable& table, size_t p, FalseIntervalSets& sets) {
   const auto& row = table[p];
   PREDCTRL_CHECK(!row.empty(), "empty predicate row");
@@ -31,27 +28,8 @@ std::ostream& operator<<(std::ostream& os, const FalseInterval& iv) {
 }
 
 FalseIntervalSets extract_false_intervals(const PredicateTable& table) {
-  return extract_false_intervals(table, parallel::shared_pool());
-}
-
-FalseIntervalSets extract_false_intervals(const PredicateTable& table,
-                                          parallel::ThreadPool* pool) {
   FalseIntervalSets sets(table.size());
-  int64_t total_states = 0;
-  for (const auto& row : table) total_states += static_cast<int64_t>(row.size());
-
-  if (pool == nullptr || table.size() < 2 || total_states < parallel::min_parallel_items()) {
-    for (size_t p = 0; p < table.size(); ++p) scan_row(table, p, sets);
-    return sets;
-  }
-
-  // Shard by process: each chunk owns a contiguous range of rows and writes
-  // only its own sets[p] slots, so the result is identical at any width.
-  parallel::parallel_for(pool, static_cast<int64_t>(table.size()),
-                         [&](int64_t begin, int64_t end, size_t) {
-                           for (int64_t p = begin; p < end; ++p)
-                             scan_row(table, static_cast<size_t>(p), sets);
-                         });
+  for (size_t p = 0; p < table.size(); ++p) scan_row(table, p, sets);
   return sets;
 }
 
@@ -163,16 +141,6 @@ bool is_overlapping_set(const Deposet& deposet, const std::vector<FalseInterval>
 
 namespace {
 
-// Decodes combination index v (the serial search's odometer order: process
-// 0 is the least-significant digit) into per-process interval indices.
-void decode_combination(const PackedIntervals& packed, int64_t v, std::vector<int32_t>& pick) {
-  for (ProcessId p = 0; p < packed.num_processes(); ++p) {
-    const auto size = static_cast<int64_t>(packed.count(p));
-    pick[static_cast<size_t>(p)] = static_cast<int32_t>(v % size);
-    v /= size;
-  }
-}
-
 // overlap(pick) on the packed index: not crossable in any ordered
 // direction. Verdict-identical to is_overlapping_set on the unpacked
 // selection -- every probe is two contiguous row loads.
@@ -198,32 +166,6 @@ std::vector<FalseInterval> unpack_selection(const PackedIntervals& packed,
   return selection;
 }
 
-std::optional<std::vector<FalseInterval>> find_overlapping_set_parallel(
-    const PackedIntervals& packed, StepSemantics semantics, int64_t limit,
-    parallel::ThreadPool& pool) {
-  const size_t n = static_cast<size_t>(packed.num_processes());
-  // Shards race to lower the least satisfying combination index; the final
-  // minimum is unique, so the answer matches the serial first-hit exactly.
-  std::atomic<int64_t> best{limit};
-  parallel::parallel_for(&pool, limit, [&](int64_t begin, int64_t end, size_t) {
-    std::vector<int32_t> pick(n);
-    for (int64_t v = begin; v < end; ++v) {
-      if (v >= best.load(std::memory_order_relaxed)) break;  // already beaten
-      decode_combination(packed, v, pick);
-      if (!overlapping_at(packed, pick, semantics)) continue;
-      int64_t cur = best.load(std::memory_order_relaxed);
-      while (v < cur && !best.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-      }
-      break;  // later v in this ascending chunk cannot beat v
-    }
-  });
-  const int64_t found = best.load(std::memory_order_relaxed);
-  if (found >= limit) return std::nullopt;
-  std::vector<int32_t> pick(n);
-  decode_combination(packed, found, pick);
-  return unpack_selection(packed, pick);
-}
-
 }  // namespace
 
 std::optional<std::vector<FalseInterval>> find_overlapping_set(
@@ -236,24 +178,6 @@ std::optional<std::vector<FalseInterval>> find_overlapping_set(
     if (s.empty()) return std::nullopt;  // no full selection possible
 
   const PackedIntervals packed(deposet, sets);
-
-  // The serial search visits exactly min(total, max_combinations)
-  // combinations; the sharded search covers the same index range.
-  parallel::ThreadPool* pool = parallel::shared_pool();
-  if (pool != nullptr && max_combinations >= 1) {
-    int64_t limit = 1;  // min(prod |sets[p]|, max_combinations), overflow-safe
-    for (const auto& s : sets) {
-      if (limit > max_combinations / static_cast<int64_t>(s.size())) {
-        limit = max_combinations;
-        break;
-      }
-      limit *= static_cast<int64_t>(s.size());
-    }
-    limit = std::min(limit, max_combinations);
-    const int64_t per_combo = static_cast<int64_t>(n) * static_cast<int64_t>(n);
-    if (limit > 1 && limit >= (parallel::min_parallel_items() + per_combo - 1) / per_combo)
-      return find_overlapping_set_parallel(packed, semantics, limit, *pool);
-  }
 
   std::vector<int32_t> pick(n, 0);
   int64_t visited = 0;

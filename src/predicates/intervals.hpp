@@ -46,10 +46,6 @@
 
 namespace predctrl {
 
-namespace parallel {
-class ThreadPool;
-}
-
 /// A maximal run [lo, hi] of consecutive false states on one process.
 struct FalseInterval {
   ProcessId process = -1;
@@ -68,16 +64,9 @@ std::ostream& operator<<(std::ostream& os, const FalseInterval& iv);
 using FalseIntervalSets = std::vector<std::vector<FalseInterval>>;
 
 /// Extracts the false intervals of every process from a truth table (the
-/// input decomposition of the paper's Section 5, Figure 2 algorithm). Rows
-/// are independent, so extraction shards per process across the shared
-/// thread pool (parallel/parallel.hpp) when one is configured; output is
-/// identical at any thread count.
+/// input decomposition of the paper's Section 5, Figure 2 algorithm): one
+/// linear scan per row.
 FalseIntervalSets extract_false_intervals(const PredicateTable& table);
-
-/// As above with an explicit pool (nullptr forces the serial scan); the
-/// one-argument overload forwards parallel::shared_pool().
-FalseIntervalSets extract_false_intervals(const PredicateTable& table,
-                                          parallel::ThreadPool* pool);
 
 /// Maximum number of false intervals on any process (the paper's `p`).
 int32_t max_intervals_per_process(const FalseIntervalSets& sets);
@@ -176,11 +165,6 @@ bool is_overlapping_set(const Deposet& deposet, const std::vector<FalseInterval>
 /// a test/diagnostic oracle for Lemma 2, not a production path. Processes
 /// with no false interval make the result trivially nullopt (no full
 /// selection exists).
-///
-/// With a shared thread pool configured, the combination index space is
-/// sharded across workers, which race to the *least* satisfying index --
-/// the same combination the serial odometer finds first, so the result is
-/// identical at any thread count.
 std::optional<std::vector<FalseInterval>> find_overlapping_set(
     const Deposet& deposet, const FalseIntervalSets& sets,
     StepSemantics semantics = StepSemantics::kRealTime,

@@ -12,11 +12,6 @@ namespace {
 // Three-valued (Kleene) logic for the per-process projection.
 enum class Tri : uint8_t { kFalse, kTrue, kUnknown };
 
-Tri tri_not(Tri t) {
-  if (t == Tri::kUnknown) return t;
-  return t == Tri::kTrue ? Tri::kFalse : Tri::kTrue;
-}
-
 // Evaluates a single kLocal leaf at state (leaf.process(), k) through the
 // public eval interface: all other components of the probe cut are ignored
 // because the leaf reads only its own process.

@@ -67,8 +67,9 @@ struct Message {
   /// processes attach the clock of the pre-send state, matching the
   /// deposet's ~> relation: the row is copied out of the sender's
   /// appendable slab here, at the sim boundary -- the only place the
-  /// online path copies clock data per message.
-  std::vector<int32_t> clock;
+  /// online path copies clock data per message. The empty `{}` initializer
+  /// lets designated initializers such as Message{.type = 1} omit it.
+  std::vector<int32_t> clock{};
 
   /// Channel plane: application traffic and control traffic are separated so
   /// metrics can count them independently (the paper's evaluation counts

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "parallel/parallel.hpp"
 #include "util/check.hpp"
 
 namespace predctrl {
@@ -211,11 +210,6 @@ std::optional<Cut> Slice::j(StateId s) const {
 }
 
 Slice compute_slice(const Deposet& deposet, const RegularPredicate& b) {
-  return compute_slice(deposet, b, parallel::shared_pool());
-}
-
-Slice compute_slice(const Deposet& deposet, const RegularPredicate& b,
-                    parallel::ThreadPool* pool) {
   const int32_t n = deposet.num_processes();
   const int64_t total = deposet.total_states();
 
@@ -239,30 +233,21 @@ Slice compute_slice(const Deposet& deposet, const RegularPredicate& b,
     return StateId{p, static_cast<int32_t>(f - offset[static_cast<size_t>(p)])};
   };
 
-  // Per-state J fixpoints: independent work, disjoint J rows -- sharded
-  // over the pool with byte-identical output at any width. The advance
-  // count is a sum of per-state counts, so it is width-independent too.
-  slice.stats_.fixpoint_advances = parallel::parallel_reduce<int64_t>(
-      pool, total, 0,
-      [&](int64_t begin, int64_t end, size_t) {
-        int64_t advances = 0;
-        Cut branch_cut;
-        for (int64_t f = begin; f < end; ++f) {
-          const StateId s = unflat(f);
-          bool any = false;
-          Cut best;
-          for (const BranchTables& bt : tables) {
-            if (!j_fixpoint(deposet, bt, s, branch_cut, advances)) continue;
-            best = any ? best.meet(branch_cut) : branch_cut;
-            any = true;
-          }
-          if (!any) continue;  // gap: row stays kNone
-          int32_t* row = slice.j_.mutable_row(s);
-          for (ProcessId p = 0; p < n; ++p) row[p] = best[p];
-        }
-        return advances;
-      },
-      [](int64_t a, int64_t c) { return a + c; });
+  // Per-state J fixpoints: independent work, one J row each.
+  Cut branch_cut;
+  for (int64_t f = 0; f < total; ++f) {
+    const StateId s = unflat(f);
+    bool any = false;
+    Cut best;
+    for (const BranchTables& bt : tables) {
+      if (!j_fixpoint(deposet, bt, s, branch_cut, slice.stats_.fixpoint_advances)) continue;
+      best = any ? best.meet(branch_cut) : branch_cut;
+      any = true;
+    }
+    if (!any) continue;  // gap: row stays kNone
+    int32_t* row = slice.j_.mutable_row(s);
+    for (ProcessId p = 0; p < n; ++p) row[p] = best[p];
+  }
 
   // Gap states, first one in (process, index) order remembered.
   for (int64_t f = 0; f < total; ++f) {

@@ -42,11 +42,9 @@
 // sound for pruning -- and the slice deposet is first-class: detectable,
 // controllable, and saveable via trace/trace_file.hpp.
 //
-// Determinism: the per-state fixpoints are independent and are sharded
-// over the parallel pool (src/parallel/); each shard writes disjoint J
-// rows, edge derivation is a serial scan of the finished table, and the
-// stats are sums of per-state counts -- output and stats are byte-identical
-// at every thread count.
+// The per-state fixpoints are independent and each writes its own J row;
+// edge derivation is a scan of the finished table, and the stats are sums
+// of per-state counts.
 #pragma once
 
 #include <cstdint>
@@ -60,10 +58,6 @@
 #include "trace/deposet.hpp"
 
 namespace predctrl {
-
-namespace parallel {
-class ThreadPool;
-}
 
 /// Work and outcome counters of one slicing run.
 struct SliceStats {
@@ -115,8 +109,7 @@ class Slice {
   const SliceStats& stats() const { return stats_; }
 
  private:
-  friend Slice compute_slice(const Deposet&, const RegularPredicate&,
-                             parallel::ThreadPool*);
+  friend Slice compute_slice(const Deposet&, const RegularPredicate&);
 
   Slice() = default;
 
@@ -128,12 +121,8 @@ class Slice {
   SliceStats stats_;
 };
 
-/// Slices `deposet` on regular predicate `b`. The two-argument overload
-/// forwards parallel::shared_pool(); pass nullptr to force the serial
-/// engine (results are byte-identical either way).
+/// Slices `deposet` on regular predicate `b`.
 Slice compute_slice(const Deposet& deposet, const RegularPredicate& b);
-Slice compute_slice(const Deposet& deposet, const RegularPredicate& b,
-                    parallel::ThreadPool* pool);
 
 /// Polynomial-time regular-predicate detection: the least consistent cut
 /// satisfying `b`, or nullopt when no consistent cut does. Generalizes

@@ -117,8 +117,9 @@ TEST_P(ControlledDeposetRandom, ControlOnlyRestricts) {
     for (int32_t k = 0; k < d.length(p); ++k)
       for (ProcessId q = 0; q < d.num_processes(); ++q)
         for (int32_t m = 0; m < d.length(q); ++m)
-          if (d.precedes({p, k}, {q, m}))
+          if (d.precedes({p, k}, {q, m})) {
             EXPECT_TRUE(cd->precedes({p, k}, {q, m}));
+          }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ControlledDeposetRandom, ::testing::Range<uint64_t>(0, 20));

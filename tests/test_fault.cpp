@@ -20,7 +20,6 @@
 #include "mutex/kmutex.hpp"
 #include "online/guard.hpp"
 #include "online/wcp_detector.hpp"
-#include "parallel/parallel.hpp"
 #include "predicates/global_predicate.hpp"
 #include "runtime/scripted.hpp"
 #include "runtime/sim.hpp"
@@ -310,11 +309,11 @@ TEST(SimEngine, QuiescenceReportCarriesWatchdogEvidence) {
 
 // ----------------------------------------------- retransmission convergence
 
-// Ambient corruption rate for the convergence sweeps. CI's second tsan
-// pass sets PREDCTRL_TEST_CORRUPT (e.g. "0.05") so the checksum-stamping
-// and quarantine flag paths run under ThreadSanitizer on both engines;
-// unset, the sweeps test exactly what their names say. Byte-identity
-// tests never read this -- an ambient rate would change what they pin.
+// Ambient corruption rate for the convergence sweeps. CI's tsan job sets
+// PREDCTRL_TEST_CORRUPT (e.g. "0.05") so the checksum-stamping and
+// quarantine flag paths run under ThreadSanitizer; unset, the sweeps test
+// exactly what their names say. Byte-identity tests never read this -- an
+// ambient rate would change what they pin.
 double ambient_corrupt() {
   const char* v = std::getenv("PREDCTRL_TEST_CORRUPT");
   return v != nullptr ? std::atof(v) : 0.0;
@@ -1001,37 +1000,34 @@ TEST(Minimizer, DeterministicAcrossRuns) {
   EXPECT_EQ(fault::describe_plan_units(a.plan), fault::describe_plan_units(b.plan));
 }
 
-// ---------------------------------------------------- serial == parallel
+// ------------------------------------------------------- repeat runs
 
-TEST(FaultDeterminism, SerialEqualsParallelAtAllWidths) {
-  // Same seed + same plan => byte-identical results at any --threads width
-  // (the simulator is single-threaded; --threads only parallelizes the
-  // offline analyses, so this pins the invariant end to end through
-  // observe_guarded's detection and recovery machinery).
+TEST(FaultDeterminism, SameSeedRepeatRunsAreIdentical) {
+  // Same seed + same plan => byte-identical results on every run, pinned
+  // end to end through observe_guarded's detection and recovery machinery.
+  // Each run builds a fresh session, so no state can carry over.
   const int32_t n = 3;
   FaultPlan plan;
   plan.seed = 41;
   plan.plane(Message::Plane::kControl).drop = 0.08;
   plan.plane(Message::Plane::kApplication).delay_spike = 0.05;
 
-  auto run_at = [&](int32_t width) {
-    parallel::set_thread_count(width);
+  auto run_once = [&] {
     debug::Session session = make_session(n, /*false_proc=*/0);
     return session.observe_guarded(17, {}, &plan);
   };
-  debug::GuardedObservation base = run_at(1);
-  for (int32_t width : {2, 4, 8}) {
-    debug::GuardedObservation g = run_at(width);
-    EXPECT_EQ(base.obs.run.entry_times, g.obs.run.entry_times) << width;
-    EXPECT_EQ(base.obs.run.cut_timeline(), g.obs.run.cut_timeline()) << width;
-    EXPECT_EQ(base.obs.run.stats.end_time, g.obs.run.stats.end_time) << width;
+  debug::GuardedObservation base = run_once();
+  for (int repeat = 1; repeat <= 3; ++repeat) {
+    debug::GuardedObservation g = run_once();
+    EXPECT_EQ(base.obs.run.entry_times, g.obs.run.entry_times) << repeat;
+    EXPECT_EQ(base.obs.run.cut_timeline(), g.obs.run.cut_timeline()) << repeat;
+    EXPECT_EQ(base.obs.run.stats.end_time, g.obs.run.stats.end_time) << repeat;
     EXPECT_EQ(base.obs.run.stats.messages_dropped, g.obs.run.stats.messages_dropped)
-        << width;
-    EXPECT_EQ(base.telemetry.retransmits, g.telemetry.retransmits) << width;
-    EXPECT_EQ(base.telemetry.chain, g.telemetry.chain) << width;
-    EXPECT_EQ(base.failure.kind, g.failure.kind) << width;
+        << repeat;
+    EXPECT_EQ(base.telemetry.retransmits, g.telemetry.retransmits) << repeat;
+    EXPECT_EQ(base.telemetry.chain, g.telemetry.chain) << repeat;
+    EXPECT_EQ(base.failure.kind, g.failure.kind) << repeat;
   }
-  parallel::set_thread_count(1);
 }
 
 }  // namespace

@@ -20,7 +20,6 @@
 #include "obs/json.hpp"
 #include "obs/trace_point.hpp"
 #include "online/guard.hpp"
-#include "parallel/parallel.hpp"
 #include "runtime/scripted.hpp"
 #include "trace/serialize.hpp"
 #include "util/rng.hpp"
@@ -412,7 +411,7 @@ TEST(FlightRecorder, SessionAttachesTimelineToVerdict) {
 #endif
 }
 
-// --------------------------------------------------------- thread widths
+// ------------------------------------------ thread widths and repeat runs
 
 // The registry is the only cross-thread surface (agents run single-threaded
 // inside the engine): hammer find-or-create, enabled() reads, and filter
@@ -441,26 +440,24 @@ TEST(TracePointRegistry, ConcurrentLookupAndFilterSwapsAreSafe) {
   }
 }
 
-// Guarded observation with the recorder armed is deterministic at every
-// parallel-engine width (the detection paths fan out; the recorder rides
-// along untouched).
-TEST(FlightRecorder, DeterministicAcrossParallelWidths) {
+// Guarded observation with the recorder armed is deterministic across
+// repeated same-seed runs on one session: the run and the rendered
+// timeline come out byte-identical every time.
+TEST(FlightRecorder, DeterministicAcrossRepeatRuns) {
   debug::Session session(flaky_system(), sim::ok_var);
   std::string reference;
-  for (int width : {1, 2, 4, 8}) {
-    parallel::set_thread_count(width);
+  for (int repeat = 0; repeat < 4; ++repeat) {
     const debug::GuardedObservation g = session.observe_guarded(44);
     std::string fp = run_fingerprint(g.obs.run);
 #if PREDCTRL_OBS_ENABLED
-    ASSERT_NE(g.flight, nullptr) << "width " << width;
+    ASSERT_NE(g.flight, nullptr) << "repeat " << repeat;
     fp += g.flight->render_text();
 #endif
     if (reference.empty())
       reference = fp;
     else
-      EXPECT_EQ(fp, reference) << "width " << width;
+      EXPECT_EQ(fp, reference) << "repeat " << repeat;
   }
-  parallel::set_thread_count(1);
 }
 
 }  // namespace

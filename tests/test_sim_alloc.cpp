@@ -19,10 +19,10 @@
 #include "runtime/scripted.hpp"
 #include "trace/random_trace.hpp"
 
-#if defined(__SANITIZE_ADDRESS__)
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define PREDCTRL_COUNT_ALLOCS 0  // the sanitizer owns operator new
 #elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
 #define PREDCTRL_COUNT_ALLOCS 0
 #endif
 #endif
@@ -66,7 +66,7 @@ Budget measure(const ScriptedSystem& system, const ControlStrategy* strategy) {
 class SimAllocation : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!PREDCTRL_COUNT_ALLOCS) GTEST_SKIP() << "allocation counting is off under ASan";
+    if (!PREDCTRL_COUNT_ALLOCS) GTEST_SKIP() << "allocation counting is off under ASan and TSan";
     // 16 processes x 1000 events, the debugging-cycle benchmark's shape.
     Rng rng(11);
     deposet_ = random_deposet({16, 1000, 0.3, 0.5}, rng);

@@ -17,7 +17,6 @@
 
 #include "causality/clock_matrix.hpp"
 #include "control/sliced_general.hpp"
-#include "parallel/parallel.hpp"
 #include "predicates/detection.hpp"
 #include "predicates/global_predicate.hpp"
 #include "predicates/regular.hpp"
@@ -389,37 +388,6 @@ TEST(SliceEdgeCases, RowsPerChunkVariantsSliceIdentically) {
     EXPECT_EQ(slice.added_edges(), reference.added_edges())
         << "rows_per_chunk " << rows_per_chunk;
     EXPECT_EQ(slice.stats().fixpoint_advances, reference.stats().fixpoint_advances);
-  }
-}
-
-// --- determinism -------------------------------------------------------------
-
-TEST(SliceParallel, SerialAndParallelAreByteIdentical) {
-  Rng rng(21);
-  Deposet d = random_deposet({.num_processes = 4, .events_per_process = 12}, rng);
-  RandomPredicateOptions popt;
-  popt.false_probability = 0.3;
-  PredicateTable table = random_predicate_table(d, popt, rng);
-  RegularPredicate b = RegularPredicate::conjunctive(table);
-
-  Slice serial = compute_slice(d, b, nullptr);
-
-  for (int32_t threads : {1, 2, 4, 8}) {
-    parallel::set_thread_count(threads);
-    parallel::set_min_parallel_items(1);
-    Slice par = compute_slice(d, b);
-    parallel::set_thread_count(1);
-    parallel::set_min_parallel_items(4096);
-
-    EXPECT_EQ(par.has_gap(), serial.has_gap()) << "threads " << threads;
-    EXPECT_EQ(par.added_edges(), serial.added_edges()) << "threads " << threads;
-    EXPECT_EQ(par.stats().fixpoint_advances, serial.stats().fixpoint_advances)
-        << "threads " << threads;
-    EXPECT_EQ(par.stats().edges_added, serial.stats().edges_added);
-    for (ProcessId p = 0; p < d.num_processes(); ++p)
-      for (int32_t k = 0; k < d.length(p); ++k)
-        ASSERT_EQ(par.j_table().row({p, k}), serial.j_table().row({p, k}))
-            << "threads " << threads << " state " << StateId{p, k};
   }
 }
 

@@ -174,7 +174,9 @@ void expect_identical_analyses(const Deposet& built, const MappedTrace& mapped,
   const ConjunctiveDetection det_a = detect_weak_conjunctive(built, table);
   const ConjunctiveDetection det_b = detect_weak_conjunctive(re, table);
   EXPECT_EQ(det_a.detected, det_b.detected);
-  if (det_a.detected) EXPECT_EQ(det_a.first_cut.indices(), det_b.first_cut.indices());
+  if (det_a.detected) {
+    EXPECT_EQ(det_a.first_cut.indices(), det_b.first_cut.indices());
+  }
 
   const RaceAnalysis races_a = analyze_races(built);
   const RaceAnalysis races_b = analyze_races(re);
@@ -190,7 +192,9 @@ void expect_identical_analyses(const Deposet& built, const MappedTrace& mapped,
   const auto overlap_a = find_overlapping_set(built, sets);
   const auto overlap_b = find_overlapping_set(re, sets);
   ASSERT_EQ(overlap_a.has_value(), overlap_b.has_value());
-  if (overlap_a) EXPECT_EQ(*overlap_a, *overlap_b);
+  if (overlap_a) {
+    EXPECT_EQ(*overlap_a, *overlap_b);
+  }
 
   // Persisted payloads round-trip exactly.
   ASSERT_TRUE(mapped.has_predicate());
@@ -541,7 +545,9 @@ class TraceSalvage : public ::testing::Test {
     EXPECT_EQ(r.intervals_dropped, k < 9);
     EXPECT_EQ(t.has_predicate(), k == 10);
     EXPECT_EQ(r.predicate_dropped, k < 10);
-    if (t.has_predicate()) EXPECT_EQ(t.predicate_table(), table_);
+    if (t.has_predicate()) {
+      EXPECT_EQ(t.predicate_table(), table_);
+    }
   }
 
   Deposet built_;
